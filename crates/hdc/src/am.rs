@@ -13,6 +13,7 @@ use crate::encoder::bipolarize_sums;
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
 use crate::kernel;
+use crate::packed::PackedHypervector;
 
 /// Index of the maximal similarity; ties resolve to the **last** maximal
 /// class, matching `Iterator::max_by` (and the binary classifier's
@@ -200,6 +201,21 @@ impl AssociativeMemory {
         query: &Hypervector,
         out: &mut Vec<f64>,
     ) -> Result<(), HdcError> {
+        self.similarities_packed_into(query.packed(), out)
+    }
+
+    /// [`similarities_into`](Self::similarities_into) for a query already
+    /// in packed form — the one AM scan routine, which the delta-encoded
+    /// fuzz path calls on counter-bipolarized words directly.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`similarities`](Self::similarities).
+    pub fn similarities_packed_into(
+        &self,
+        query: &PackedHypervector,
+        out: &mut Vec<f64>,
+    ) -> Result<(), HdcError> {
         // Clear before validating so a reused buffer never carries a
         // previous query's similarities across an error.
         out.clear();
@@ -213,9 +229,8 @@ impl AssociativeMemory {
         // packed mirror (the AVX2 tier shares each query load across four
         // class vectors), then `cos = (D − 2h) / D` — the same integers
         // per-reference `cosine` computes, so the result is bit-identical.
-        let query_words = query.packed().words();
         let refs: Vec<&[u64]> = self.references.iter().map(|r| r.packed().words()).collect();
-        let distances = kernel::hamming_many(query_words, &refs);
+        let distances = kernel::hamming_many(query.words(), &refs);
         let dim = self.dim;
         out.extend(distances.iter().map(|&h| (dim as i64 - 2 * h as i64) as f64 / dim as f64));
         Ok(())

@@ -456,6 +456,21 @@ impl<E: Encoder> BinaryClassifier<E> {
         Ok(self.classify_packed(&query))
     }
 
+    /// Classifies an already packed query.
+    ///
+    /// # Errors
+    ///
+    /// [`HdcError::EmptyModel`] before finalization.
+    pub(crate) fn predict_packed(
+        &self,
+        query: &PackedHypervector,
+    ) -> Result<BinaryPrediction, HdcError> {
+        if !self.finalized {
+            return Err(HdcError::EmptyModel);
+        }
+        Ok(self.classify_packed(query))
+    }
+
     /// The Hamming scan over the reference snapshot. Callers must have
     /// checked `finalized`.
     fn classify_packed(&self, query: &PackedHypervector) -> BinaryPrediction {

@@ -35,6 +35,8 @@ pub use timeseries::{TimeSeriesEncoder, TimeSeriesEncoderConfig};
 
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
+use crate::kernel::BitCounter;
+use crate::packed::PackedHypervector;
 
 /// Maps inputs of the associated [`Input`](Encoder::Input) type to
 /// hypervectors of a fixed dimension.
@@ -74,6 +76,34 @@ pub trait Encoder: Send + Sync {
     /// forcing item-memory packed mirrors so parallel workers don't race
     /// to build them lazily). Idempotent; the default does nothing.
     fn warm_up(&self) {}
+
+    /// Writes the bundle counter of `input` — the state
+    /// [`encode`](Self::encode) bipolarizes — into `counter` and returns
+    /// `Ok(true)`. The default returns `Ok(false)` and leaves `counter`
+    /// untouched: the encoder has no counter form, and callers use
+    /// [`encode`](Self::encode) instead.
+    ///
+    /// `parent` is an earlier input together with a counter that holds its
+    /// bundle. An encoder with an incremental form ([`PixelEncoder`],
+    /// [`PermutePixelEncoder`]) starts from that counter and re-bundles
+    /// only what changed when that is cheaper. The resulting counter has a
+    /// larger [`BitCounter::count`] than a fresh bundle but the same
+    /// implied sums, so it bipolarizes bit-identically to `encode(input)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`encode`](Self::encode), for `input` or the parent input, and
+    /// [`HdcError::DimensionMismatch`] for a parent counter of the wrong
+    /// dimension.
+    fn bundle_into(
+        &self,
+        input: &Self::Input,
+        parent: Option<(&Self::Input, &BitCounter)>,
+        counter: &mut BitCounter,
+    ) -> Result<bool, HdcError> {
+        let _ = (input, parent, counter);
+        Ok(false)
+    }
 }
 
 impl<E: Encoder + ?Sized> Encoder for &E {
@@ -94,6 +124,72 @@ impl<E: Encoder + ?Sized> Encoder for &E {
     fn warm_up(&self) {
         (**self).warm_up();
     }
+
+    fn bundle_into(
+        &self,
+        input: &Self::Input,
+        parent: Option<(&Self::Input, &BitCounter)>,
+        counter: &mut BitCounter,
+    ) -> Result<bool, HdcError> {
+        (**self).bundle_into(input, parent, counter)
+    }
+}
+
+/// Bundles `input` into the counter in `slot` (created on first use) via
+/// [`Encoder::bundle_into`], incrementally from `parent` where the encoder
+/// can, and bipolarizes it straight to a packed query: unlike
+/// [`Encoder::encode`], no `Vec<i8>` is built. Returns `None`, with the
+/// slot emptied, when the encoder has no counter form.
+pub(crate) fn bundle_query<E: Encoder + ?Sized>(
+    encoder: &E,
+    input: &E::Input,
+    parent: Option<(&E::Input, &BitCounter)>,
+    slot: &mut Option<BitCounter>,
+) -> Result<Option<PackedHypervector>, HdcError> {
+    let dim = encoder.dim();
+    let counter = slot.get_or_insert_with(|| BitCounter::new(dim));
+    if !encoder.bundle_into(input, parent, counter)? {
+        *slot = None;
+        return Ok(None);
+    }
+    Ok(Some(PackedHypervector::from_words_unchecked(counter.bipolarize_packed(), dim)))
+}
+
+/// Checks that a parent counter handed to [`Encoder::bundle_into`] has the
+/// encoder's dimension.
+pub(crate) fn check_parent(counter: &BitCounter, dim: usize) -> Result<(), HdcError> {
+    if counter.dim() == dim {
+        Ok(())
+    } else {
+        Err(HdcError::DimensionMismatch { expected: dim, actual: counter.dim() })
+    }
+}
+
+/// The pixels whose quantized level differs between `parent` and `child`
+/// (equal lengths), as `(index, old level, new level)`, or `None` when a
+/// full bundle is no dearer. A delta costs two counter adds per changed
+/// pixel (subtract the old bound vector, add the new one) and a full
+/// bundle one per pixel, so the delta is taken only while
+/// `2 · changed < pixels`.
+pub(crate) fn level_changes(
+    parent: &[u8],
+    child: &[u8],
+    quantize: impl Fn(u8) -> usize,
+) -> Option<Vec<(usize, usize, usize)>> {
+    let mut changes = Vec::new();
+    for (i, (&old, &new)) in parent.iter().zip(child).enumerate() {
+        if old == new {
+            continue;
+        }
+        let (from, to) = (quantize(old), quantize(new));
+        if from != to {
+            if 2 * (changes.len() + 1) >= child.len() {
+                return None;
+            }
+            changes.push((i, from, to));
+        }
+    }
+    Some(changes)
 }
 
 /// Finalizes a packed bundle counter into a hypervector: bipolarize by
@@ -101,9 +197,8 @@ impl<E: Encoder + ?Sized> Encoder for &E {
 /// and prefill the packed mirror. Bit-identical — including parity
 /// tie-breaks — to [`bipolarize_sums`] over the counter's integer sums,
 /// which is what every encoder's `encode_reference` scalar oracle uses.
-pub(crate) fn finalize_counter(counter: &mut crate::kernel::BitCounter, dim: usize) -> Hypervector {
-    let packed =
-        crate::packed::PackedHypervector::from_words_unchecked(counter.bipolarize_packed(), dim);
+pub(crate) fn finalize_counter(counter: &mut BitCounter, dim: usize) -> Hypervector {
+    let packed = PackedHypervector::from_words_unchecked(counter.bipolarize_packed(), dim);
     Hypervector::from_packed_mirror(packed)
 }
 

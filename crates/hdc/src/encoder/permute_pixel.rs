@@ -13,10 +13,10 @@
 //! ImgHV = bipolarize( Σᵢ  ρⁱ(Base) ⊛ ValHV[pixel[i]] )
 //! ```
 
-use crate::encoder::{bipolarize_sums, finalize_counter, Encoder};
+use crate::encoder::{bipolarize_sums, check_parent, finalize_counter, level_changes, Encoder};
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
-use crate::kernel::BitCounter;
+use crate::kernel::{self, BitCounter};
 use crate::memory::{LevelMemory, ValueEncoding};
 use crate::rng::derive_rng;
 
@@ -148,9 +148,15 @@ impl PermutePixelEncoder {
         pixels: &[u8],
         counter: &mut BitCounter,
     ) -> Result<Hypervector, HdcError> {
-        let expected = self.pixel_count();
-        if pixels.len() != expected {
-            return Err(HdcError::InputShapeMismatch { expected, actual: pixels.len() });
+        self.bundle(pixels, counter)?;
+        Ok(finalize_counter(counter, self.config.dim))
+    }
+
+    /// Rebuilds `counter` as the bundle of `pixels`.
+    fn bundle(&self, pixels: &[u8], counter: &mut BitCounter) -> Result<(), HdcError> {
+        self.check_shape(pixels)?;
+        if counter.dim() != self.config.dim {
+            *counter = BitCounter::new(self.config.dim);
         }
         counter.clear();
         let base = self.base.packed();
@@ -158,7 +164,16 @@ impl PermutePixelEncoder {
             let val = self.values.get(self.quantize(p))?.packed();
             counter.add_rotated_bound(base.words(), i, val.words());
         }
-        Ok(finalize_counter(counter, self.config.dim))
+        Ok(())
+    }
+
+    fn check_shape(&self, pixels: &[u8]) -> Result<(), HdcError> {
+        let expected = self.pixel_count();
+        if pixels.len() == expected {
+            Ok(())
+        } else {
+            Err(HdcError::InputShapeMismatch { expected, actual: pixels.len() })
+        }
     }
 
     /// Scalar reference encoding — the index-arithmetic loop the packed
@@ -171,10 +186,7 @@ impl PermutePixelEncoder {
     ///
     /// Same as [`Encoder::encode`].
     pub fn encode_reference(&self, pixels: &[u8]) -> Result<Hypervector, HdcError> {
-        let expected = self.pixel_count();
-        if pixels.len() != expected {
-            return Err(HdcError::InputShapeMismatch { expected, actual: pixels.len() });
-        }
+        self.check_shape(pixels)?;
         let dim = self.config.dim;
         let base = self.base.as_slice();
         let mut sums = vec![0i32; dim];
@@ -211,6 +223,35 @@ impl Encoder for PermutePixelEncoder {
         for hv in self.values.iter() {
             let _ = hv.packed();
         }
+    }
+
+    /// The [`PixelEncoder`](super::PixelEncoder) incremental form, with
+    /// the position `ρⁱ(base)` rotated once per changed pixel and shared
+    /// by its subtract and add.
+    fn bundle_into(
+        &self,
+        pixels: &[u8],
+        parent: Option<(&[u8], &BitCounter)>,
+        counter: &mut BitCounter,
+    ) -> Result<bool, HdcError> {
+        self.check_shape(pixels)?;
+        if let Some((old, base)) = parent {
+            self.check_shape(old)?;
+            check_parent(base, self.config.dim)?;
+            if let Some(changes) = level_changes(old, pixels, |p| self.quantize(p)) {
+                counter.clone_from(base);
+                let dim = self.config.dim;
+                let mut pos = vec![0u64; kernel::words_for(dim)];
+                for (i, from, to) in changes {
+                    kernel::rotate_words_into(self.base.packed().words(), dim, i, &mut pos);
+                    counter.sub_bound(&pos, self.values.get(from)?.packed().words());
+                    counter.add_bound(&pos, self.values.get(to)?.packed().words());
+                }
+                return Ok(true);
+            }
+        }
+        self.bundle(pixels, counter)?;
+        Ok(true)
     }
 }
 

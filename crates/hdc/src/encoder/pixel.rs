@@ -9,7 +9,7 @@
 //! ImgHV = bipolarize( Σᵢ  PosHV[i] ⊛ ValHV[pixel[i]] )
 //! ```
 
-use crate::encoder::Encoder;
+use crate::encoder::{check_parent, level_changes, Encoder};
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
 use crate::kernel::{self, BitCounter};
@@ -138,21 +138,29 @@ impl PixelEncoder {
         }
     }
 
-    /// The word-packed encoding kernel: per pixel, the position and value
-    /// mirrors fuse straight into the bit-sliced bundle counter
-    /// ([`BitCounter::add_bound`] — the bound vector never exists outside
-    /// it); the bundle bipolarizes by word-parallel threshold comparison,
-    /// never materializing integer sums. Exactly equivalent (bit-for-bit,
-    /// including parity ties) to the scalar `sums[d] += pos[d] * val[d]` +
-    /// `bipolarize_sums` pipeline it replaced.
+    /// The word-packed encoding kernel: the pixels bundle into `counter`
+    /// ([`bundle`](Self::bundle)), which bipolarizes by word-parallel
+    /// threshold comparison, never materializing integer sums. Exactly
+    /// equivalent (bit-for-bit, including parity ties) to the scalar
+    /// `sums[d] += pos[d] * val[d]` + `bipolarize_sums` pipeline it
+    /// replaced.
     fn encode_with_scratch(
         &self,
         pixels: &[u8],
         counter: &mut BitCounter,
     ) -> Result<Hypervector, HdcError> {
-        let expected = self.pixel_count();
-        if pixels.len() != expected {
-            return Err(HdcError::InputShapeMismatch { expected, actual: pixels.len() });
+        self.bundle(pixels, counter)?;
+        Ok(crate::encoder::finalize_counter(counter, self.config.dim))
+    }
+
+    /// Rebuilds `counter` as the bundle of `pixels`: per pixel, the
+    /// position and value mirrors fuse straight into the bit-sliced
+    /// counter ([`BitCounter::add_bound`] — the bound vector never exists
+    /// outside it).
+    fn bundle(&self, pixels: &[u8], counter: &mut BitCounter) -> Result<(), HdcError> {
+        self.check_shape(pixels)?;
+        if counter.dim() != self.config.dim {
+            *counter = BitCounter::new(self.config.dim);
         }
         counter.clear();
         for (i, &p) in pixels.iter().enumerate() {
@@ -160,7 +168,16 @@ impl PixelEncoder {
             let val = self.values.get(self.quantize(p))?.packed();
             counter.add_bound(pos.words(), val.words());
         }
-        Ok(crate::encoder::finalize_counter(counter, self.config.dim))
+        Ok(())
+    }
+
+    fn check_shape(&self, pixels: &[u8]) -> Result<(), HdcError> {
+        let expected = self.pixel_count();
+        if pixels.len() == expected {
+            Ok(())
+        } else {
+            Err(HdcError::InputShapeMismatch { expected, actual: pixels.len() })
+        }
     }
 
     /// Scalar reference encoding — the seed's `sums[d] += pos[d] * val[d]`
@@ -172,10 +189,7 @@ impl PixelEncoder {
     ///
     /// Same as [`Encoder::encode`].
     pub fn encode_reference(&self, pixels: &[u8]) -> Result<Hypervector, HdcError> {
-        let expected = self.pixel_count();
-        if pixels.len() != expected {
-            return Err(HdcError::InputShapeMismatch { expected, actual: pixels.len() });
-        }
+        self.check_shape(pixels)?;
         let mut sums = vec![0i32; self.config.dim];
         for (i, &p) in pixels.iter().enumerate() {
             let pos = self.positions.get(i)?.as_slice();
@@ -210,6 +224,34 @@ impl Encoder for PixelEncoder {
         // batch — the allocation share of per-query encode cost disappears.
         let mut counter = BitCounter::new(self.config.dim);
         inputs.iter().map(|pixels| self.encode_with_scratch(pixels, &mut counter)).collect()
+    }
+
+    /// Incremental form: a copy of the parent's counter, then per pixel
+    /// whose quantized level changed, [`BitCounter::sub_bound`] of
+    /// `pos ⊛ val_old` and [`BitCounter::add_bound`] of `pos ⊛ val_new`.
+    /// A full bundle when `2 · changed ≥ pixels`.
+    fn bundle_into(
+        &self,
+        pixels: &[u8],
+        parent: Option<(&[u8], &BitCounter)>,
+        counter: &mut BitCounter,
+    ) -> Result<bool, HdcError> {
+        self.check_shape(pixels)?;
+        if let Some((old, base)) = parent {
+            self.check_shape(old)?;
+            check_parent(base, self.config.dim)?;
+            if let Some(changes) = level_changes(old, pixels, |p| self.quantize(p)) {
+                counter.clone_from(base);
+                for (i, from, to) in changes {
+                    let pos = self.positions.get(i)?.packed().words();
+                    counter.sub_bound(pos, self.values.get(from)?.packed().words());
+                    counter.add_bound(pos, self.values.get(to)?.packed().words());
+                }
+                return Ok(true);
+            }
+        }
+        self.bundle(pixels, counter)?;
+        Ok(true)
     }
 }
 

@@ -502,16 +502,27 @@ fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
 /// plane memory traffic ~4×. Finalizers ([`sums`](Self::sums),
 /// [`bipolarize_packed`](Self::bipolarize_packed), …) flush the partial
 /// group first, so results never depend on the buffering.
-#[derive(Debug, Clone)]
+///
+/// Subtraction is exact too: [`sub_bound`](Self::sub_bound) adds the
+/// complement of a bound vector, which lowers every implied sum `2c − n`
+/// by that vector's bipolar component while `n` grows by one. That is the
+/// identity incremental (delta) encoding rests on.
+///
+/// The CSA and carry scratch is allocated on first use and is not part of
+/// a [`Clone`]: a copy carries only the planes, the count and any buffered
+/// vectors, and [`clone_from`](Clone::clone_from) reuses the destination's
+/// allocations.
+#[derive(Debug)]
 pub struct BitCounter {
     /// Flat plane storage: plane `k` occupies words
     /// `[k·words_for(dim), (k+1)·words_for(dim))` and holds bit `k` of
     /// every component's count.
     planes: Vec<u64>,
     /// Buffered vectors awaiting a CSA flush: [`CSA_GROUP`] slots of
-    /// `words_for(dim)` words each.
+    /// `words_for(dim)` words each (empty until the first add).
     pending: Vec<u64>,
-    /// CSA output scratch: 4 weight planes (1, 2, 4, 8).
+    /// CSA output scratch: 4 weight planes (1, 2, 4, 8), empty until the
+    /// first flush.
     csa: Vec<u64>,
     /// Ripple-carry scratch, reused across flushes.
     carry: Vec<u64>,
@@ -546,12 +557,11 @@ impl BitCounter {
     /// Panics if `dim` is zero.
     pub fn new_with_backend(dim: usize, backend: Backend) -> Self {
         assert!(dim > 0, "counter dimension must be non-zero");
-        let n_words = words_for(dim);
         Self {
             planes: Vec::new(),
-            pending: vec![0; CSA_GROUP * n_words],
-            csa: vec![0; 4 * n_words],
-            carry: vec![0; n_words],
+            pending: Vec::new(),
+            csa: Vec::new(),
+            carry: Vec::new(),
             n_planes: 0,
             n_pending: 0,
             dim,
@@ -586,6 +596,7 @@ impl BitCounter {
     #[inline]
     fn slot(&mut self) -> &mut [u64] {
         let n_words = words_for(self.dim);
+        sized(&mut self.pending, CSA_GROUP * n_words);
         &mut self.pending[self.n_pending * n_words..(self.n_pending + 1) * n_words]
     }
 
@@ -617,18 +628,43 @@ impl BitCounter {
     ///
     /// Panics if either operand has the wrong word count.
     pub fn add_bound(&mut self, a: &[u64], b: &[u64]) {
+        self.add_bound_inner(a, b, false);
+    }
+
+    /// Fused bind-then-subtract: adds the complement of `a ⊛ b` (packed
+    /// XOR, tail masked). Every implied sum `2c − n` drops by the bipolar
+    /// component of `a ⊛ b` exactly, and the count grows by one, so a
+    /// `sub_bound` then `add_bound` pair replaces one bound vector in the
+    /// bundle by another at the cost of two adds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either operand has the wrong word count.
+    pub fn sub_bound(&mut self, a: &[u64], b: &[u64]) {
+        self.add_bound_inner(a, b, true);
+    }
+
+    /// Fills the next slot with `a ⊛ b`, or with its complement.
+    fn add_bound_inner(&mut self, a: &[u64], b: &[u64], complement: bool) {
         let n_words = words_for(self.dim);
         assert_eq!(a.len(), n_words, "counter: word count mismatch");
         assert_eq!(b.len(), n_words, "counter: word count mismatch");
         let dim = self.dim;
         let backend = self.backend;
         let slot = self.slot();
-        match backend {
+        match (backend, complement) {
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => avx2::xnor_words_into(a, b, slot),
-            _ => {
+            (Backend::Avx2, false) => avx2::xnor_words_into(a, b, slot),
+            #[cfg(target_arch = "x86_64")]
+            (Backend::Avx2, true) => avx2::xor_words_into(a, b, slot),
+            (_, false) => {
                 for ((s, &x), &y) in slot.iter_mut().zip(a).zip(b) {
                     *s = !(x ^ y);
+                }
+            }
+            (_, true) => {
+                for ((s, &x), &y) in slot.iter_mut().zip(a).zip(b) {
+                    *s = x ^ y;
                 }
             }
         }
@@ -695,6 +731,7 @@ impl BitCounter {
     fn flush_group(&mut self) {
         debug_assert_eq!(self.n_pending, CSA_GROUP);
         let n_words = words_for(self.dim);
+        sized(&mut self.csa, 4 * n_words);
         match self.backend {
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => avx2::csa_compress8(&self.pending, &mut self.csa, n_words),
@@ -752,7 +789,8 @@ impl BitCounter {
         if bits.iter().all(|&w| w == 0) {
             return;
         }
-        self.carry.copy_from_slice(bits);
+        self.carry.clear();
+        self.carry.extend_from_slice(bits);
         while self.n_planes < start {
             // Weight > 2^n_planes: interpose all-zero planes.
             self.planes.resize((self.n_planes + 1) * n_words, 0);
@@ -936,6 +974,38 @@ impl BitCounter {
         }
         mask_tail(&mut out, self.dim);
         out
+    }
+}
+
+impl Clone for BitCounter {
+    fn clone(&self) -> Self {
+        let mut copy = Self::new_with_backend(self.dim, self.backend);
+        copy.clone_from(self);
+        copy
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Scratch sized for another dimension is resized on next use.
+        self.planes.clone_from(&source.planes);
+        let used = source.n_pending * words_for(source.dim);
+        if used > 0 {
+            sized(&mut self.pending, source.pending.len());
+            self.pending[..used].copy_from_slice(&source.pending[..used]);
+        }
+        self.n_planes = source.n_planes;
+        self.n_pending = source.n_pending;
+        self.dim = source.dim;
+        self.count = source.count;
+        self.backend = source.backend;
+    }
+}
+
+/// Sizes lazily allocated scratch to `len` words (contents unspecified).
+#[inline]
+fn sized(buf: &mut Vec<u64>, len: usize) {
+    if buf.len() != len {
+        buf.clear();
+        buf.resize(len, 0);
     }
 }
 
@@ -1299,6 +1369,60 @@ mod tests {
         counter.add(&pack_words(&v));
         let expected: Vec<i32> = v.iter().map(|&c| i32::from(c)).collect();
         assert_eq!(counter.sums(), expected);
+    }
+
+    #[test]
+    fn bit_counter_clone_carries_state_but_not_scratch() {
+        // 11 adds leave three vectors buffered in the CSA group; a clone
+        // (and a clone_from into a counter of another dimension with its
+        // own stale scratch) must carry them and the planes, then keep
+        // counting exactly like the original.
+        let mut rng = StdRng::seed_from_u64(12);
+        let dim = 130;
+        let vectors: Vec<Vec<u64>> =
+            (0..20).map(|_| pack_words(&random_bipolar(dim, &mut rng))).collect();
+        let mut original = BitCounter::new(dim);
+        for v in &vectors[..11] {
+            original.add(v);
+        }
+        let mut copy = original.clone();
+        assert!(copy.csa.is_empty() && copy.carry.is_empty(), "scratch must not be copied");
+        let mut recycled = BitCounter::new(64);
+        for _ in 0..9 {
+            recycled.add(&[u64::MAX]);
+        }
+        recycled.clone_from(&original);
+        for v in &vectors[11..] {
+            original.add(v);
+            copy.add(v);
+            recycled.add(v);
+        }
+        let sums = original.sums();
+        assert_eq!((copy.count(), recycled.count()), (20, 20));
+        assert_eq!(copy.sums(), sums);
+        assert_eq!(recycled.sums(), sums);
+        assert_eq!(recycled.bipolarize_packed(), original.bipolarize_packed());
+    }
+
+    #[test]
+    fn bound_adds_mask_dirty_operand_tails() {
+        // Operands whose bits past `dim` are set must not leak into the
+        // counter through either the XNOR add or the XOR subtract.
+        let mut rng = StdRng::seed_from_u64(13);
+        let dim = 65;
+        let clean_a = pack_words(&random_bipolar(dim, &mut rng));
+        let clean_b = pack_words(&random_bipolar(dim, &mut rng));
+        let dirty = |w: &[u64]| vec![w[0], w[1] | !1];
+        let mut clean = BitCounter::new(dim);
+        let mut messy = BitCounter::new(dim);
+        clean.add_bound(&clean_a, &clean_b);
+        clean.sub_bound(&clean_a, &clean_b);
+        clean.sub_bound(&clean_b, &clean_b);
+        messy.add_bound(&dirty(&clean_a), &clean_b);
+        messy.sub_bound(&dirty(&clean_a), &clean_b);
+        messy.sub_bound(&clean_b, &dirty(&clean_b));
+        assert_eq!(messy.sums(), clean.sums());
+        assert_eq!(messy.sums(), vec![-1; dim]);
     }
 
     #[test]

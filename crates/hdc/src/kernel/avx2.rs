@@ -15,10 +15,11 @@
 //!    costs two loads + two movemasks + one NOT — the real instruction the
 //!    portable bit-matrix transpose emulates.
 //! 3. **Counter plane ops** ([`csa_compress8`], [`ripple_step`],
-//!    [`xnor_words_into`], [`xnor_words_assign`], [`compare_step_zero`],
-//!    [`compare_step_one`]): the bitwise inner loops of
-//!    [`BitCounter`](super::BitCounter) — the 8:4 compressor, the
-//!    ripple-carry plane update, fused XNOR slot fills, and the
+//!    [`xnor_words_into`], [`xor_words_into`], [`xnor_words_assign`],
+//!    [`compare_step_zero`], [`compare_step_one`]): the bitwise inner
+//!    loops of [`BitCounter`](super::BitCounter) — the 8:4 compressor, the
+//!    ripple-carry plane update, fused XNOR (add) and XOR (subtract) slot
+//!    fills, and the
 //!    most-significant-first threshold compare — four words per operation.
 //!
 //! Every public function here is a **safe wrapper** that asserts the
@@ -96,6 +97,17 @@ pub(super) fn xnor_words_into(a: &[u64], b: &[u64], out: &mut [u64]) {
     debug_assert_eq!(a.len(), out.len());
     // SAFETY: AVX2 availability asserted above.
     unsafe { xnor_words_into_impl(a, b, out) }
+}
+
+/// `out[i] = a[i] ^ b[i]` — the complement of the packed bind into a
+/// slot (a counter subtraction).
+#[inline]
+pub(super) fn xor_words_into(a: &[u64], b: &[u64], out: &mut [u64]) {
+    assert_avx2();
+    debug_assert_eq!(a.len(), b.len());
+    debug_assert_eq!(a.len(), out.len());
+    // SAFETY: AVX2 availability asserted above.
+    unsafe { xor_words_into_impl(a, b, out) }
 }
 
 /// `acc[i] = !(acc[i] ^ other[i])` — in-place packed bind.
@@ -325,6 +337,23 @@ unsafe fn xnor_words_into_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
         }
         while i < n {
             *po.add(i) = !(*pa.add(i) ^ *pb.add(i));
+            i += 1;
+        }
+    }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn xor_words_into_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
+    unsafe {
+        let n = a.len();
+        let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let mut i = 0usize;
+        while i + LANE_WORDS <= n {
+            store(po.add(i), _mm256_xor_si256(load(pa.add(i)), load(pb.add(i))));
+            i += LANE_WORDS;
+        }
+        while i < n {
+            *po.add(i) = *pa.add(i) ^ *pb.add(i);
             i += 1;
         }
     }

@@ -156,7 +156,7 @@ pub use error::HdcError;
 pub use fault::{bit_error_sweep, BitErrorPoint, FaultyAssociativeMemory};
 pub use hypervector::Hypervector;
 pub use memory::{ItemMemory, LevelMemory, ValueEncoding};
-pub use model::{AnyModel, Model, ModelKind};
+pub use model::{AnyModel, Child, Model, ModelKind};
 pub use packed::PackedHypervector;
 pub use similarity::{cosine, cosine_accum, dot, hamming, normalized_hamming};
 

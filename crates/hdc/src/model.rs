@@ -35,10 +35,13 @@
 //! (asserted by the serve-layer tests, visible in the `train_partial_fit`
 //! and `serve_train` bench rows).
 
+use crate::am::argmax;
 use crate::binary::BinaryClassifier;
-use crate::classifier::{Feedback, HdcClassifier, Prediction};
-use crate::encoder::{Encoder, PixelEncoder, PixelEncoderConfig};
+use crate::classifier::{prediction_from_similarities, Feedback, HdcClassifier, Prediction};
+use crate::encoder::{bundle_query, Encoder, PixelEncoder, PixelEncoderConfig};
 use crate::error::HdcError;
+use crate::kernel::BitCounter;
+use crate::packed::PackedHypervector;
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
@@ -94,6 +97,24 @@ impl std::str::FromStr for ModelKind {
             other => Err(UnknownModelKind(other.to_owned())),
         }
     }
+}
+
+/// One candidate for [`Model::evaluate_children`]: an input, the input it
+/// was derived from, and a slot for its bundle counter.
+///
+/// A fuzzer keeps each surviving seed's bundle counter. A child that
+/// differs from its parent in a few pixels then costs a few counter adds
+/// instead of a full encode (see [`Encoder::bundle_into`]).
+#[derive(Debug)]
+pub struct Child<'a, I: ?Sized> {
+    /// The candidate to evaluate.
+    pub input: &'a I,
+    /// The input the candidate was derived from, with a counter holding
+    /// that input's bundle, when one is known.
+    pub parent: Option<(&'a I, &'a BitCounter)>,
+    /// Receives the candidate's bundle counter, or `None` when the model
+    /// keeps none. A counter already here is reused for its allocation.
+    pub bundle: &'a mut Option<BitCounter>,
 }
 
 /// A trainable classifier behind one polymorphic surface.
@@ -181,6 +202,48 @@ pub trait Model: Send + Sync {
         inputs.iter().map(|input| self.evaluate(input, reference)).collect()
     }
 
+    /// [`predict`](Self::predict) that also leaves the input's bundle
+    /// counter in `bundle`, as the parent state of later
+    /// [`evaluate_children`](Self::evaluate_children) calls. The default
+    /// keeps no counter (`bundle` becomes `None`) and calls `predict`.
+    ///
+    /// # Errors
+    ///
+    /// As [`predict`](Self::predict).
+    fn predict_bundle(
+        &self,
+        input: &Self::Input,
+        bundle: &mut Option<BitCounter>,
+    ) -> Result<Prediction, HdcError> {
+        *bundle = None;
+        self.predict(input)
+    }
+
+    /// [`evaluate_batch`](Self::evaluate_batch) over derived candidates:
+    /// the same `(class, fitness)` per child, in order. Models whose
+    /// encoder has an incremental form encode each child from its parent's
+    /// counter and leave the child's counter in its slot. The default
+    /// empties every slot and calls `evaluate_batch`.
+    ///
+    /// # Errors
+    ///
+    /// As [`evaluate_batch`](Self::evaluate_batch). Slots are unspecified
+    /// after an error.
+    fn evaluate_children(
+        &self,
+        children: &mut [Child<'_, Self::Input>],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64)>, HdcError> {
+        let inputs: Vec<&Self::Input> = children
+            .iter_mut()
+            .map(|child| {
+                *child.bundle = None;
+                child.input
+            })
+            .collect();
+        self.evaluate_batch(&inputs, reference)
+    }
+
     /// Absorbs labeled examples online and re-finalizes dirty classes
     /// once; returns how many examples were applied. Atomic: on error the
     /// model is unchanged.
@@ -258,6 +321,33 @@ where
         HdcClassifier::evaluate_batch(self, inputs, reference)
     }
 
+    fn predict_bundle(
+        &self,
+        input: &Self::Input,
+        bundle: &mut Option<BitCounter>,
+    ) -> Result<Prediction, HdcError> {
+        let Some(query) = bundle_query(self.encoder(), input, None, bundle)? else {
+            return HdcClassifier::predict(self, input);
+        };
+        let mut sims = Vec::new();
+        self.associative_memory().similarities_packed_into(&query, &mut sims)?;
+        Ok(prediction_from_similarities(argmax(&sims), sims))
+    }
+
+    fn evaluate_children(
+        &self,
+        children: &mut [Child<'_, Self::Input>],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64)>, HdcError> {
+        check_reference(reference, Model::num_classes(self))?;
+        let mut sims = Vec::with_capacity(Model::num_classes(self));
+        let score = |query: &PackedHypervector| {
+            self.associative_memory().similarities_packed_into(query, &mut sims)?;
+            Ok((argmax(&sims), 1.0 - sims[reference]))
+        };
+        evaluate_each(self, self.encoder(), children, reference, score)
+    }
+
     fn partial_fit_batch(&mut self, examples: &[(&Self::Input, usize)]) -> Result<usize, HdcError> {
         HdcClassifier::partial_fit_batch(
             self,
@@ -324,6 +414,31 @@ where
         Ok((prediction.class, distance as f64 / self.dim() as f64))
     }
 
+    fn predict_bundle(
+        &self,
+        input: &Self::Input,
+        bundle: &mut Option<BitCounter>,
+    ) -> Result<Prediction, HdcError> {
+        let Some(query) = bundle_query(self.encoder(), input, None, bundle)? else {
+            return Model::predict(self, input);
+        };
+        Ok(self.predict_packed(&query)?.to_prediction(self.dim()))
+    }
+
+    fn evaluate_children(
+        &self,
+        children: &mut [Child<'_, Self::Input>],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64)>, HdcError> {
+        check_reference(reference, Model::num_classes(self))?;
+        let dim = self.dim() as f64;
+        let score = |query: &PackedHypervector| {
+            let prediction = self.predict_packed(query)?;
+            Ok((prediction.class, prediction.distances[reference] as f64 / dim))
+        };
+        evaluate_each(self, self.encoder(), children, reference, score)
+    }
+
     fn partial_fit_batch(&mut self, examples: &[(&Self::Input, usize)]) -> Result<usize, HdcError> {
         BinaryClassifier::partial_fit_batch(
             self,
@@ -338,6 +453,34 @@ where
     fn warm_up(&self) {
         self.encoder().warm_up();
     }
+}
+
+fn check_reference(reference: usize, num_classes: usize) -> Result<(), HdcError> {
+    if reference < num_classes {
+        Ok(())
+    } else {
+        Err(HdcError::UnknownClass { class: reference, num_classes })
+    }
+}
+
+/// The body both classifier kinds share for
+/// [`Model::evaluate_children`]: bundle each child into its slot and
+/// `score` the packed query, or, for an encoder without a counter form,
+/// [`Model::evaluate`] the child in full.
+fn evaluate_each<M: Model, E: Encoder<Input = M::Input>>(
+    model: &M,
+    encoder: &E,
+    children: &mut [Child<'_, M::Input>],
+    reference: usize,
+    mut score: impl FnMut(&PackedHypervector) -> Result<(usize, f64), HdcError>,
+) -> Result<Vec<(usize, f64)>, HdcError> {
+    children
+        .iter_mut()
+        .map(|child| match bundle_query(encoder, child.input, child.parent, child.bundle)? {
+            Some(query) => score(&query),
+            None => model.evaluate(child.input, reference),
+        })
+        .collect()
 }
 
 /// A concrete, serializable model of either kind over the paper's
@@ -531,6 +674,28 @@ impl Model for AnyModel {
         }
     }
 
+    fn predict_bundle(
+        &self,
+        input: &[u8],
+        bundle: &mut Option<BitCounter>,
+    ) -> Result<Prediction, HdcError> {
+        match self {
+            AnyModel::Dense(m) => Model::predict_bundle(m, input, bundle),
+            AnyModel::Binary(m) => Model::predict_bundle(m, input, bundle),
+        }
+    }
+
+    fn evaluate_children(
+        &self,
+        children: &mut [Child<'_, [u8]>],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64)>, HdcError> {
+        match self {
+            AnyModel::Dense(m) => Model::evaluate_children(m, children, reference),
+            AnyModel::Binary(m) => Model::evaluate_children(m, children, reference),
+        }
+    }
+
     fn partial_fit_batch(&mut self, examples: &[(&[u8], usize)]) -> Result<usize, HdcError> {
         match self {
             AnyModel::Dense(m) => Model::partial_fit_batch(m, examples),
@@ -663,6 +828,46 @@ mod tests {
                 assert!((fitness - direct).abs() < 1e-12, "{fitness} vs {direct}");
             }
             assert!(model.evaluate(&pats[0][..], 9).is_err());
+        }
+    }
+
+    #[test]
+    fn evaluate_children_matches_evaluate_batch_for_both_kinds() {
+        // Children of pattern 0 with one or two changed pixels take the
+        // delta path from its counter; pattern 1 (8 of 16 pixels changed)
+        // falls back to a full bundle. Scores must equal evaluate_batch's
+        // to the bit, and every slot must end up holding its child's
+        // bundle.
+        let pats = patterns();
+        let mut one = pats[0];
+        one[5] = INK;
+        let mut two = one;
+        two[0] = 0;
+        let kids = [one, two, pats[1], pats[0]];
+        let inputs: Vec<&[u8]> = kids.iter().map(|k| &k[..]).collect();
+        for model in any_models() {
+            let mut root = None;
+            let prediction = model.predict_bundle(&pats[0][..], &mut root).unwrap();
+            assert_eq!(prediction, model.predict(&pats[0][..]).unwrap());
+            let root = root.expect("pixel models keep a counter");
+            let mut slots: Vec<Option<BitCounter>> = vec![None; kids.len()];
+            let mut children: Vec<Child<'_, [u8]>> = inputs
+                .iter()
+                .zip(&mut slots)
+                .map(|(&input, bundle)| Child {
+                    input,
+                    parent: Some((&pats[0][..], &root)),
+                    bundle,
+                })
+                .collect();
+            let scores = model.evaluate_children(&mut children, 1).unwrap();
+            assert_eq!(scores, model.evaluate_batch(&inputs, 1).unwrap());
+            assert!(model.evaluate_children(&mut children, 9).is_err());
+            for (input, slot) in inputs.iter().zip(&mut slots) {
+                let counter = slot.as_mut().expect("each child keeps its counter");
+                let encoded = model.encoder_arc().encode(input).unwrap();
+                assert_eq!(counter.bipolarize_packed(), encoded.packed().words());
+            }
         }
     }
 

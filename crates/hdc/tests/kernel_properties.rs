@@ -324,6 +324,49 @@ mod backend_exactness {
         }
 
         #[test]
+        fn sub_bound_matches_ripple_of_the_complement(seed in any::<u64>(), n in 1usize..40) {
+            // `sub_bound(a, b)` must add exactly the complement of
+            // `a ⊛ b`, tail masked, on every tier; mixed with `add_bound`
+            // the implied sums are those of a signed integer bundle.
+            for dim in DIMS {
+                let mut ripple = BitCounter::new_with_backend(dim, Backend::Portable);
+                let mut counters: Vec<(Backend, BitCounter)> = runnable_backends()
+                    .into_iter()
+                    .map(|b| (b, BitCounter::new_with_backend(dim, b)))
+                    .collect();
+                let mut sums = vec![0i32; dim];
+                for k in 0..n {
+                    let a = hv(dim, seed ^ ((k as u64) << 20));
+                    let b = hv(dim, seed ^ 0x5ab ^ (k as u64));
+                    let (aw, bw) = (a.packed().words(), b.packed().words());
+                    let bound = reference::bind_scalar(a.as_slice(), b.as_slice());
+                    if k % 3 == 1 {
+                        ripple.add_ripple(&kernel::negate_words(&kernel::bind_words(aw, bw, dim), dim));
+                        for (s, &v) in sums.iter_mut().zip(&bound) {
+                            *s -= i32::from(v);
+                        }
+                    } else {
+                        ripple.add_ripple(&kernel::bind_words(aw, bw, dim));
+                        reference::accumulate_scalar(&mut sums, &bound);
+                    }
+                    for (_, c) in counters.iter_mut() {
+                        if k % 3 == 1 { c.sub_bound(aw, bw) } else { c.add_bound(aw, bw) }
+                    }
+                }
+                prop_assert_eq!(&ripple.sums()[..], &sums[..], "oracle dim {}", dim);
+                let bipolar = ripple.bipolarize_packed();
+                for (backend, c) in counters.iter_mut() {
+                    prop_assert_eq!(c.count(), n, "count backend {} dim {}", backend, dim);
+                    prop_assert_eq!(&c.sums()[..], &sums[..], "sums backend {} dim {}", backend, dim);
+                    prop_assert_eq!(
+                        &c.bipolarize_packed()[..], &bipolar[..],
+                        "bipolarize backend {} dim {}", backend, dim
+                    );
+                }
+            }
+        }
+
+        #[test]
         fn bipolarize_all_ties_is_parity_on_every_backend(seed in any::<u64>(), pairs in 1usize..6) {
             // Adding k vectors and their negations drives every bundling
             // sum to exactly zero — the all-ties worst case. The packed
@@ -457,5 +500,166 @@ mod encoder_exactness {
                 assert_exact(&packed, &reference, dim);
             }
         }
+    }
+}
+
+/// Incremental (delta) encoding against the scalar oracle. A child's
+/// bundle is its parent's counter plus, per pixel whose quantized level
+/// changed, the complement of `pos ⊛ val_old` and `pos ⊛ val_new`. Along
+/// lineages up to 30 generations deep, with 1 to pixels/2 changed pixels
+/// per child (the top of that range takes the full-bundle fallback), the
+/// grown counter must bipolarize bit-identically to `encode_reference`,
+/// parity ties included.
+mod delta_exactness {
+    use super::*;
+    use hdc::{
+        Encoder, PermutePixelEncoder, PermutePixelEncoderConfig, PixelEncoder, PixelEncoderConfig,
+        ValueEncoding,
+    };
+    use rand::Rng;
+
+    /// 6×6: an even pixel count, so bundling sums can tie at zero.
+    const SIDE: usize = 6;
+    const PIXELS: usize = SIDE * SIDE;
+
+    fn pixel(dim: usize, side: usize, seed: u64) -> PixelEncoder {
+        PixelEncoder::new(PixelEncoderConfig {
+            dim,
+            width: side,
+            height: side,
+            levels: 16,
+            value_encoding: ValueEncoding::Random,
+            seed,
+        })
+        .expect("valid config")
+    }
+
+    fn permute(dim: usize, side: usize, seed: u64) -> PermutePixelEncoder {
+        PermutePixelEncoder::new(PermutePixelEncoderConfig {
+            dim,
+            width: side,
+            height: side,
+            levels: 16,
+            value_encoding: ValueEncoding::Random,
+            seed,
+        })
+        .expect("valid config")
+    }
+
+    /// Delta-encodes `child` from `(parent, counter)`, checks the result
+    /// against the oracle and the count against the growth rule (two adds
+    /// per changed level, or a fresh `pixels`-vector bundle when
+    /// `2 · changed ≥ pixels`), and returns the child's counter.
+    fn step<E: Encoder<Input = [u8]>>(
+        enc: &E,
+        oracle: &dyn Fn(&[u8]) -> Hypervector,
+        quantize: &dyn Fn(u8) -> usize,
+        parent: &[u8],
+        counter: &BitCounter,
+        child: &[u8],
+    ) -> BitCounter {
+        let mut next = BitCounter::new(enc.dim());
+        assert!(enc.bundle_into(child, Some((parent, counter)), &mut next).expect("bundles"));
+        let expected = oracle(child);
+        assert_eq!(next.bipolarize_packed(), expected.packed().words(), "dim {}", enc.dim());
+        let changed =
+            parent.iter().zip(child).filter(|(&a, &b)| quantize(a) != quantize(b)).count();
+        let want =
+            if 2 * changed < child.len() { counter.count() + 2 * changed } else { child.len() };
+        assert_eq!(next.count(), want, "count after {changed} changed levels");
+        next
+    }
+
+    /// A lineage of `generations` children, each changing 1 to pixels/2
+    /// distinct pixels of its parent.
+    fn lineage<E: Encoder<Input = [u8]>>(
+        enc: &E,
+        oracle: &dyn Fn(&[u8]) -> Hypervector,
+        quantize: &dyn Fn(u8) -> usize,
+        seed: u64,
+        generations: usize,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut parent: Vec<u8> = (0..PIXELS).map(|_| rng.gen()).collect();
+        let mut counter = BitCounter::new(enc.dim());
+        assert!(enc.bundle_into(&parent, None, &mut counter).expect("bundles"));
+        assert_eq!(counter.bipolarize_packed(), oracle(&parent).packed().words());
+        for _ in 0..generations {
+            let mut child = parent.clone();
+            let mut order: Vec<usize> = (0..PIXELS).collect();
+            for k in 0..rng.gen_range(1..=PIXELS / 2) {
+                let j = rng.gen_range(k..PIXELS);
+                order.swap(k, j);
+                child[order[k]] = child[order[k]].wrapping_add(rng.gen_range(1..=255u8));
+            }
+            counter = step(enc, oracle, quantize, &parent, &counter, &child);
+            parent = child;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn pixel_delta_lineage_matches_reference(seed in any::<u64>(), generations in 1usize..31) {
+            for dim in DIMS {
+                let enc = pixel(dim, SIDE, seed ^ 6);
+                let oracle = |img: &[u8]| enc.encode_reference(img).expect("reference");
+                lineage(&enc, &oracle, &|p| enc.quantize(p), seed, generations);
+            }
+        }
+
+        #[test]
+        fn permute_pixel_delta_lineage_matches_reference(
+            seed in any::<u64>(), generations in 1usize..31,
+        ) {
+            for dim in DIMS {
+                let enc = permute(dim, SIDE, seed ^ 7);
+                let oracle = |img: &[u8]| enc.encode_reference(img).expect("reference");
+                lineage(&enc, &oracle, &|p| enc.quantize(p), seed, generations);
+            }
+        }
+    }
+
+    /// Two one-pixel deltas on a 2×2 image: with four bound vectors about
+    /// 3/8 of the sums are exactly zero, so the parity rule decides many
+    /// components. The count grows 4 → 6 → 8, still even, so the same tie
+    /// mask applies, and the ties must resolve as in a fresh encode.
+    fn tie_case<E: Encoder<Input = [u8]>>(
+        enc: &E,
+        oracle: &dyn Fn(&[u8]) -> Hypervector,
+        quantize: &dyn Fn(u8) -> usize,
+    ) {
+        let root = [0u8, 64, 128, 192];
+        let child = [16u8, 64, 128, 192];
+        let grandchild = [16u8, 64, 144, 192];
+        let mut counter = BitCounter::new(enc.dim());
+        assert!(enc.bundle_into(&root, None, &mut counter).expect("bundles"));
+        let mid = step(enc, oracle, quantize, &root, &counter, &child);
+        let mut last = step(enc, oracle, quantize, &child, &mid, &grandchild);
+        assert_eq!((mid.count(), last.count()), (6, 8), "dim {}", enc.dim());
+        let ties = last.sums().iter().filter(|&&s| s == 0).count();
+        assert!(ties > 0, "dim {}: the case must exercise the tie rule", enc.dim());
+    }
+
+    #[test]
+    fn parity_ties_survive_the_grown_even_count() {
+        for dim in DIMS {
+            let enc = pixel(dim, 2, 11);
+            tie_case(&enc, &|img| enc.encode_reference(img).expect("ref"), &|p| enc.quantize(p));
+            let enc = permute(dim, 2, 11);
+            tie_case(&enc, &|img| enc.encode_reference(img).expect("ref"), &|p| enc.quantize(p));
+        }
+    }
+
+    #[test]
+    fn shape_and_dimension_errors_are_reported() {
+        let enc = pixel(64, SIDE, 1);
+        let img = [0u8; PIXELS];
+        let mut counter = BitCounter::new(64);
+        assert!(enc.bundle_into(&img[..5], None, &mut counter).is_err());
+        assert!(enc.bundle_into(&img, Some((&img[..5], &counter)), &mut counter.clone()).is_err());
+        let wrong = BitCounter::new(65);
+        assert!(enc.bundle_into(&img, Some((&img, &wrong)), &mut counter).is_err());
     }
 }

@@ -6,11 +6,19 @@
 //! 7–11) and, failing that, keeps only the top-N fittest seeds (line 14),
 //! where fitness is `1 − cosine(AM[reference], encode(seed))`. Candidates
 //! beyond the perturbation budget are discarded outright (§IV).
+//!
+//! Each pool seed carries the model's bundle counter for it, when the
+//! model keeps one ([`TargetModel::predict_bundle`],
+//! [`TargetModel::evaluate_children`]), so a candidate that changes a few
+//! pixels of its parent is encoded from the parent's counter in a few
+//! adds. Results are bit-identical to encoding every candidate in full.
 
 use crate::constraint::Constraint;
 use crate::error::HdtestError;
 use crate::model::TargetModel;
 use crate::mutation::Mutation;
+use hdc::kernel::BitCounter;
+use hdc::Child;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -167,24 +175,32 @@ where
     pub fn fuzz_one(&self, input: &I, seed: u64) -> Result<FuzzResult<I>, HdtestError> {
         self.config.validate()?;
         let mut rng = StdRng::seed_from_u64(mix(seed));
-        let reference = self.model.predict(input.as_ref())?;
+        // The reference pass also yields the original's bundle counter:
+        // the root every child in the pool is delta-encoded from.
+        let mut origin = None;
+        let reference = self.model.predict_bundle(input.as_ref(), &mut origin)?;
+        let restart = || vec![Seed { input: input.clone(), bundle: origin.clone() }];
 
-        let mut pool: Vec<I> = vec![input.clone()];
+        let mut pool = restart();
+        // Counters of dropped seeds, reused as the slots of later children.
+        let mut spare: Vec<BitCounter> = Vec::new();
         let mut candidates_evaluated = 0usize;
         let mut discarded = 0usize;
 
         for iteration in 1..=self.config.max_iterations {
             // Line 6: generate seeds from the survivors, round-robin, with
             // bounded retries when the budget rejects candidates.
-            let mut candidates: Vec<I> = Vec::with_capacity(self.config.batch_size);
+            let mut candidates: Vec<Seed<I>> = Vec::with_capacity(self.config.batch_size);
+            let mut parents: Vec<usize> = Vec::with_capacity(self.config.batch_size);
             let max_attempts = self.config.batch_size * 4;
             let mut attempts = 0usize;
             while candidates.len() < self.config.batch_size && attempts < max_attempts {
-                let parent = &pool[attempts % pool.len()];
-                let candidate = self.strategy.mutate(parent, &mut rng);
+                let parent = attempts % pool.len();
+                let candidate = self.strategy.mutate(&pool[parent].input, &mut rng);
                 attempts += 1;
                 if self.constraint.accepts(input, &candidate) {
-                    candidates.push(candidate);
+                    candidates.push(Seed { input: candidate, bundle: spare.pop() });
+                    parents.push(parent);
                 } else {
                     discarded += 1;
                 }
@@ -193,33 +209,51 @@ where
                 // Every survivor sits at the budget boundary: restart the
                 // pool from the original so the search can take a cheaper
                 // path (the original is within budget by definition).
-                pool = vec![input.clone()];
+                recycle(&mut spare, pool);
+                pool = restart();
                 continue;
             }
 
             // Lines 7–11: differential check. The whole round is evaluated
-            // as one batch so `HdcClassifier` targets run it on the
-            // word-packed kernel with shared packed references and scratch;
-            // each evaluation still yields both the query label and the
-            // guidance fitness from a single model pass.
+            // as one batch, each candidate beside its parent, so `hdc`
+            // targets encode it from the parent's bundle counter when few
+            // pixels changed; each evaluation still yields both the query
+            // label and the guidance fitness from a single model pass.
             //
             // If the batch fails (one candidate the model rejects fails the
             // whole call), fall back to the sequential loop so its
             // semantics are preserved exactly: an adversarial found
             // *before* the rejected candidate wins over the error, which a
             // batch-level `?` would otherwise swallow.
-            let inputs: Vec<&M::Input> = candidates.iter().map(|c| c.as_ref()).collect();
-            let evaluations = match self.model.evaluate_batch(&inputs, reference) {
+            let mut children: Vec<Child<'_, M::Input>> = candidates
+                .iter_mut()
+                .zip(&parents)
+                .map(|(Seed { input, bundle }, &p)| {
+                    let input: &I = input;
+                    let parent = &pool[p];
+                    Child {
+                        input: input.as_ref(),
+                        parent: parent.bundle.as_ref().map(|b| (parent.input.as_ref(), b)),
+                        bundle,
+                    }
+                })
+                .collect();
+            let batch = self.model.evaluate_children(&mut children, reference);
+            drop(children);
+            let evaluations = match batch {
                 Ok(evaluations) => evaluations,
                 Err(_) => {
+                    // Child counters are unspecified after an error.
+                    for candidate in &mut candidates {
+                        spare.extend(candidate.bundle.take());
+                    }
                     // Stop at the first discrepancy (the shared scan below
                     // picks it up) or propagate the error of the first
                     // rejected candidate.
-                    drop(inputs);
                     let mut evaluations = Vec::with_capacity(candidates.len());
                     for candidate in &candidates {
                         let (label, fitness) =
-                            self.model.evaluate(candidate.as_ref(), reference)?;
+                            self.model.evaluate(candidate.input.as_ref(), reference)?;
                         evaluations.push((label, fitness));
                         if label != reference {
                             break;
@@ -242,7 +276,7 @@ where
             }
             if let Some(index) = adversarial_at {
                 let predicted = evaluations[index].0;
-                let input = candidates.swap_remove(index);
+                let input = candidates.swap_remove(index).input;
                 return Ok(FuzzResult {
                     reference_label: reference,
                     iterations: iteration,
@@ -253,12 +287,13 @@ where
             }
 
             // Line 14: seed survival.
-            let scored: Vec<(f64, I)> = candidates
+            let scored: Vec<(f64, Seed<I>)> = candidates
                 .into_iter()
                 .zip(evaluations)
                 .map(|(candidate, (_, fitness))| (fitness, candidate))
                 .collect();
-            pool = self.select_survivors(scored, &mut rng);
+            let survivors = self.select_survivors(scored, &mut rng, &mut spare);
+            recycle(&mut spare, std::mem::replace(&mut pool, survivors));
         }
 
         Ok(FuzzResult {
@@ -270,14 +305,18 @@ where
         })
     }
 
-    fn select_survivors(&self, mut scored: Vec<(f64, I)>, rng: &mut StdRng) -> Vec<I> {
+    fn select_survivors(
+        &self,
+        mut scored: Vec<(f64, Seed<I>)>,
+        rng: &mut StdRng,
+        spare: &mut Vec<BitCounter>,
+    ) -> Vec<Seed<I>> {
         let keep = self.config.top_n.min(scored.len());
         match self.config.guidance {
             Guidance::DistanceGuided => {
                 // Highest fitness (largest HV distance from the reference
                 // class) survives.
                 scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("fitness is never NaN"));
-                scored.truncate(keep);
             }
             Guidance::Unguided => {
                 // Uniform survival without model feedback.
@@ -285,11 +324,23 @@ where
                     let j = rng.gen_range(i..scored.len());
                     scored.swap(i, j);
                 }
-                scored.truncate(keep);
             }
         }
+        recycle(spare, scored.drain(keep..).map(|(_, c)| c));
         scored.into_iter().map(|(_, c)| c).collect()
     }
+}
+
+/// A pool member: an input and, when the model keeps one, the counter
+/// holding its bundle.
+struct Seed<I> {
+    input: I,
+    bundle: Option<BitCounter>,
+}
+
+/// Returns the counters of dropped seeds to the spare list.
+fn recycle<I>(spare: &mut Vec<BitCounter>, dropped: impl IntoIterator<Item = Seed<I>>) {
+    spare.extend(dropped.into_iter().filter_map(|seed| seed.bundle));
 }
 
 /// Seed mixer so fuzzer streams stay decorrelated from the campaign-level

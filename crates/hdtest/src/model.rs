@@ -15,7 +15,8 @@
 //! kind — current or future — without per-type glue.
 
 use crate::error::HdtestError;
-use hdc::Model;
+use hdc::kernel::BitCounter;
+use hdc::{Child, Model};
 
 /// A classifier under test, exposing exactly the greybox signals HDTest
 /// needs: predictions and the distance-based fitness.
@@ -79,6 +80,48 @@ pub trait TargetModel: Sync {
         inputs.iter().map(|input| self.evaluate(input, reference)).collect()
     }
 
+    /// The reference pass: [`predict`](Self::predict) that also leaves
+    /// the input's bundle counter in `bundle`, so the fuzzer can encode
+    /// its children incrementally. The default keeps no counter (`bundle`
+    /// becomes `None`) and calls `predict`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`predict`](Self::predict).
+    fn predict_bundle(
+        &self,
+        input: &Self::Input,
+        bundle: &mut Option<BitCounter>,
+    ) -> Result<usize, HdtestError> {
+        *bundle = None;
+        self.predict(input)
+    }
+
+    /// [`evaluate_batch`](Self::evaluate_batch) over candidates that
+    /// carry their parent: the same `(label, fitness)` per child, in
+    /// order, with each child's bundle counter left in its slot where the
+    /// model keeps one ([`Model::evaluate_children`]). The default empties
+    /// every slot and calls `evaluate_batch`, so a target that implements
+    /// only the other methods still sees every candidate.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`evaluate_batch`](Self::evaluate_batch).
+    fn evaluate_children(
+        &self,
+        children: &mut [Child<'_, Self::Input>],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64)>, HdtestError> {
+        let inputs: Vec<&Self::Input> = children
+            .iter_mut()
+            .map(|child| {
+                *child.bundle = None;
+                child.input
+            })
+            .collect();
+        self.evaluate_batch(&inputs, reference)
+    }
+
     /// One-time preparation before a fuzzing campaign fans out to worker
     /// threads (e.g. forcing packed reference mirrors so workers never
     /// race to build them). The default does nothing.
@@ -115,6 +158,22 @@ impl<M: Model> TargetModel for M {
         reference: usize,
     ) -> Result<Vec<(usize, f64)>, HdtestError> {
         Ok(Model::evaluate_batch(self, inputs, reference)?)
+    }
+
+    fn predict_bundle(
+        &self,
+        input: &Self::Input,
+        bundle: &mut Option<BitCounter>,
+    ) -> Result<usize, HdtestError> {
+        Ok(Model::predict_bundle(self, input, bundle)?.class)
+    }
+
+    fn evaluate_children(
+        &self,
+        children: &mut [Child<'_, Self::Input>],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64)>, HdtestError> {
+        Ok(Model::evaluate_children(self, children, reference)?)
     }
 
     fn warm_up(&self) {

@@ -3,17 +3,18 @@
 //! A tiny model keeps each case cheap; the point is randomized coverage of
 //! the loop's contract, not fuzzing quality.
 
+use hdc::binary::BinaryClassifier;
 use hdc::prelude::*;
 use hdc_data::{normalized_l2, GrayImage};
 use hdtest::mutation::Strategy as MutationStrategy;
 use hdtest::{
-    Campaign, CampaignConfig, FuzzConfig, FuzzOutcome, Fuzzer, GaussNoise, L2Constraint,
-    NoConstraint, RandNoise, TargetModel,
+    Campaign, CampaignConfig, FuzzConfig, FuzzOutcome, FuzzResult, Fuzzer, GaussNoise, Guidance,
+    HdtestError, L2Constraint, NoConstraint, RandNoise, TargetModel,
 };
 use proptest::prelude::*;
 
-fn tiny_model() -> HdcClassifier<PixelEncoder> {
-    let encoder = PixelEncoder::new(PixelEncoderConfig {
+fn tiny_encoder() -> PixelEncoder {
+    PixelEncoder::new(PixelEncoderConfig {
         dim: 512,
         width: 6,
         height: 6,
@@ -21,19 +22,98 @@ fn tiny_model() -> HdcClassifier<PixelEncoder> {
         value_encoding: ValueEncoding::Random,
         seed: 77,
     })
-    .expect("valid config");
-    let mut model = HdcClassifier::new(encoder, 3);
-    for v in [0u8, 12, 24] {
-        model.train_one(&[v; 36][..], 0).expect("trains");
-    }
-    for v in [100u8, 112, 124] {
-        model.train_one(&[v; 36][..], 1).expect("trains");
-    }
-    for v in [220u8, 232, 244] {
-        model.train_one(&[v; 36][..], 2).expect("trains");
+    .expect("valid config")
+}
+
+/// Three classes: dark, mid and bright flat images.
+const TRAINING: [([u8; 3], usize); 3] =
+    [([0, 12, 24], 0), ([100, 112, 124], 1), ([220, 232, 244], 2)];
+
+fn tiny_model() -> HdcClassifier<PixelEncoder> {
+    let mut model = HdcClassifier::new(tiny_encoder(), 3);
+    for (values, label) in TRAINING {
+        for v in values {
+            model.train_one(&[v; 36][..], label).expect("trains");
+        }
     }
     model.finalize();
     model
+}
+
+fn tiny_binary_model() -> BinaryClassifier<PixelEncoder> {
+    let mut model = BinaryClassifier::new(tiny_encoder(), 3);
+    for (values, label) in TRAINING {
+        for v in values {
+            model.train_one(&[v; 36][..], label).expect("trains");
+        }
+    }
+    model.finalize();
+    model
+}
+
+/// Forwards only the `TargetModel` methods that predate delta encoding,
+/// so the fuzzer reaches it through the defaulted `predict_bundle` and
+/// `evaluate_children`: every candidate is encoded in full.
+struct FullEncode<'m, M>(&'m M);
+
+impl<M: TargetModel<Input = [u8]>> TargetModel for FullEncode<'_, M> {
+    type Input = [u8];
+
+    fn num_classes(&self) -> usize {
+        self.0.num_classes()
+    }
+
+    fn predict(&self, input: &[u8]) -> Result<usize, HdtestError> {
+        self.0.predict(input)
+    }
+
+    fn fitness(&self, input: &[u8], reference: usize) -> Result<f64, HdtestError> {
+        self.0.fitness(input, reference)
+    }
+
+    fn evaluate(&self, input: &[u8], reference: usize) -> Result<(usize, f64), HdtestError> {
+        self.0.evaluate(input, reference)
+    }
+
+    fn evaluate_batch(
+        &self,
+        inputs: &[&[u8]],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64)>, HdtestError> {
+        self.0.evaluate_batch(inputs, reference)
+    }
+
+    fn warm_up(&self) {
+        self.0.warm_up();
+    }
+}
+
+/// `fuzz_one` of `image` with every strategy, guidance mode and budget
+/// choice, through `model` as given.
+fn fuzz_everything<M: TargetModel<Input = [u8]>>(
+    model: &M,
+    image: &GrayImage,
+    seed: u64,
+) -> Vec<FuzzResult<GrayImage>> {
+    let mut results = Vec::new();
+    for strategy in MutationStrategy::ALL {
+        for guidance in [Guidance::DistanceGuided, Guidance::Unguided] {
+            for budget in [None, Some(1.0)] {
+                let constraint: Box<dyn hdtest::Constraint<GrayImage>> = match budget {
+                    Some(budget) => Box::new(L2Constraint { budget }),
+                    None => Box::new(NoConstraint),
+                };
+                let fuzzer = Fuzzer::new(
+                    model,
+                    strategy.image_mutation(),
+                    constraint,
+                    FuzzConfig { max_iterations: 12, guidance, ..Default::default() },
+                );
+                results.push(fuzzer.fuzz_one(image, seed).unwrap());
+            }
+        }
+    }
+    results
 }
 
 fn arb_image() -> impl Strategy<Value = GrayImage> {
@@ -120,6 +200,26 @@ proptest! {
         prop_assert_eq!(label, TargetModel::predict(&model, img.as_slice()).unwrap());
         let direct = TargetModel::fitness(&model, img.as_slice(), class).unwrap();
         prop_assert!((fitness - direct).abs() < 1e-12);
+    }
+
+    #[test]
+    fn delta_encoded_fuzzing_matches_full_encoding(img in arb_image(), seed in any::<u64>()) {
+        // The blanket impl encodes each child from its parent's bundle
+        // counter; the wrapper takes the full-encode defaults. Both model
+        // kinds must give identical results for every strategy (sparse
+        // rand and row/col lines on the delta path, shift and most dense
+        // gauss children on the fallback), both guidance modes, and with
+        // and without a budget.
+        let dense = tiny_model();
+        prop_assert_eq!(
+            fuzz_everything(&dense, &img, seed),
+            fuzz_everything(&FullEncode(&dense), &img, seed)
+        );
+        let binary = tiny_binary_model();
+        prop_assert_eq!(
+            fuzz_everything(&binary, &img, seed),
+            fuzz_everything(&FullEncode(&binary), &img, seed)
+        );
     }
 
     #[test]

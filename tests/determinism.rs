@@ -72,6 +72,69 @@ fn campaigns_reproduce_across_worker_counts() {
     assert_eq!(solo.corpus, many.corpus);
 }
 
+/// Forwards only the `TargetModel` methods that predate delta encoding,
+/// so campaigns reach it through the defaulted `predict_bundle` and
+/// `evaluate_children`: every candidate is encoded in full.
+struct FullEncode<'m, M>(&'m M);
+
+impl<M: TargetModel<Input = [u8]>> TargetModel for FullEncode<'_, M> {
+    type Input = [u8];
+
+    fn num_classes(&self) -> usize {
+        self.0.num_classes()
+    }
+
+    fn predict(&self, input: &[u8]) -> Result<usize, HdtestError> {
+        self.0.predict(input)
+    }
+
+    fn fitness(&self, input: &[u8], reference: usize) -> Result<f64, HdtestError> {
+        self.0.fitness(input, reference)
+    }
+
+    fn evaluate(&self, input: &[u8], reference: usize) -> Result<(usize, f64), HdtestError> {
+        self.0.evaluate(input, reference)
+    }
+
+    fn evaluate_batch(
+        &self,
+        inputs: &[&[u8]],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64)>, HdtestError> {
+        self.0.evaluate_batch(inputs, reference)
+    }
+
+    fn warm_up(&self) {
+        self.0.warm_up();
+    }
+}
+
+#[test]
+fn delta_encoded_campaigns_match_full_encoding_across_worker_counts() {
+    // Digit campaigns whose children are delta-encoded from their
+    // parents' bundle counters must record exactly what full re-encoding
+    // records, at one worker and at two.
+    let (model, pool) = build(1, 2);
+    for strategy in [Strategy::Rand, Strategy::Gauss, Strategy::Shift] {
+        let config = |workers| CampaignConfig {
+            strategy,
+            l2_budget: Some(1.0),
+            workers,
+            seed: 9,
+            ..Default::default()
+        };
+        let full = Campaign::new(&FullEncode(&model), config(1))
+            .run(pool.images())
+            .expect("non-empty pool");
+        for workers in [1, 2] {
+            let delta =
+                Campaign::new(&model, config(workers)).run(pool.images()).expect("non-empty pool");
+            assert_eq!(delta.records, full.records, "{strategy} at {workers} workers");
+            assert_eq!(delta.corpus, full.corpus, "{strategy} at {workers} workers");
+        }
+    }
+}
+
 #[test]
 fn campaign_seed_changes_outcomes() {
     let (model, pool) = build(1, 2);
