@@ -64,7 +64,7 @@ fn bench_classifier(c: &mut Criterion) {
         bench.iter(|| {
             let mut buf = Vec::new();
             hdc::io::save_pixel_classifier(&model, &mut buf).expect("in-memory write");
-            black_box(hdc::io::load_pixel_classifier(&buf[..]).expect("valid payload"))
+            black_box(hdc::io::load_any(&buf[..]).expect("valid payload"))
         });
     });
 

@@ -380,13 +380,11 @@ fn encoder_rows(rows: &mut Vec<Row>) {
     });
 }
 
-/// Measures online learning for **both classifier kinds**: one
-/// `partial_fit` (encode + counter add + re-finalize of a single dirty
-/// class) against the full retrain from scratch it replaces, at the
-/// paper's scale — `D = 10,000`, 10 classes, 10 examples per class. The
-/// acceptance bar is ≥50× per kind, gated by
-/// `scripts/check_bench_json.py` (`train_partial_fit` dense,
-/// `train_partial_fit_binary` binarized).
+/// Measures online learning: one `partial_fit` (encode + counter add +
+/// re-finalize of a single dirty class) against the full retrain from
+/// scratch it replaces, at the paper's scale — `D = 10,000`, 10 classes,
+/// 10 examples per class. The acceptance bar is ≥50×, gated by
+/// `scripts/check_bench_json.py` (`train_partial_fit`).
 fn train_rows(rows: &mut Vec<Row>) {
     const CLASSES: usize = 10;
     const PER_CLASS: usize = 10;
@@ -443,33 +441,6 @@ fn train_rows(rows: &mut Vec<Row>) {
             n,
         ),
         note: "1 example vs full retrain, 10 classes x 10 examples",
-    });
-
-    // The binarized kind's incremental-train floor: same dataset, same
-    // shape, set-bit counters + word-parallel threshold finalize.
-    let mut binary_online = hdc::BinaryClassifier::new(encoder(), CLASSES);
-    binary_online
-        .train_batch(base.iter().enumerate().map(|(k, img)| (&img[..], label_of(k))))
-        .expect("binary base training");
-    binary_online.encoder().warm_up();
-
-    rows.push(Row {
-        op: "train_partial_fit_binary",
-        scalar_ns: measure_ns(
-            || {
-                let mut scratch = hdc::BinaryClassifier::new(scratch_encoder.clone(), CLASSES);
-                scratch
-                    .train_batch(images.iter().enumerate().map(|(k, img)| (&img[..], label_of(k))))
-                    .expect("binary scratch training");
-                black_box(scratch.is_finalized())
-            },
-            n,
-        ),
-        packed_ns: measure_ns(
-            || black_box(binary_online.partial_fit(&extra[..], extra_label).is_ok()),
-            n,
-        ),
-        note: "binarized kind: 1 example vs full retrain, 10 classes x 10 examples",
     });
 }
 

@@ -1,7 +1,6 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
-use hdc::binary::BinaryClassifier;
 use hdc::io::{load_any, save_pixel_classifier};
 use hdc::prelude::*;
 use hdc_data::synth::{SynthConfig, SynthGenerator};
@@ -51,9 +50,7 @@ fn load_dataset(images: &str, labels: Option<&str>) -> Result<Dataset, Box<dyn E
     }
 }
 
-/// `train`: one-shot training from IDX files into a model file of either
-/// kind (`--kind dense|binary` selects the `HDC1` or `HDB1` format; every
-/// other subcommand auto-detects the kind on load) — or, with
+/// `train`: one-shot training from IDX files into a model file — or, with
 /// `--serve-url HOST:PORT`, **online training of a live server**: the
 /// labeled examples stream to `POST /v1/train` in chunks (riding the
 /// server's request coalescer into `partial_fit_batch`), and the command
@@ -74,7 +71,6 @@ pub fn train(args: Args) -> CliResult {
     let dim: usize = args.get_or("dim", hdc::DEFAULT_DIM)?;
     let levels: usize = args.get_or("levels", 256)?;
     let seed: u64 = args.get_or("seed", 7)?;
-    let kind: ModelKind = args.get("kind").unwrap_or("dense").parse()?;
 
     let dataset = load_dataset(&images, Some(&labels))?;
     let first = dataset.image(0);
@@ -89,20 +85,10 @@ pub fn train(args: Args) -> CliResult {
     let num_classes = dataset.labels().iter().copied().max().unwrap_or(0) + 1;
 
     let start = std::time::Instant::now();
-    let model: AnyModel = match kind {
-        ModelKind::Dense => {
-            let mut model = HdcClassifier::new(encoder, num_classes);
-            model.train_batch(dataset.pairs())?;
-            model.into()
-        }
-        ModelKind::Binary => {
-            let mut model = BinaryClassifier::new(encoder, num_classes);
-            model.train_batch(dataset.pairs())?;
-            model.into()
-        }
-    };
+    let mut model = HdcClassifier::new(encoder, num_classes);
+    model.train_batch(dataset.pairs())?;
     println!(
-        "trained {num_classes}-class {kind} model (D = {dim}) on {} images in {}s",
+        "trained {num_classes}-class model (D = {dim}) on {} images in {}s",
         dataset.len(),
         fmt2(start.elapsed().as_secs_f64())
     );
@@ -245,8 +231,7 @@ fn train_remote(url: &str, model: &str, chunk: usize, dataset: &Dataset) -> CliR
     Ok(())
 }
 
-/// `eval`: accuracy of a stored model (either kind, auto-detected) over
-/// labeled IDX data.
+/// `eval`: accuracy of a stored model over labeled IDX data.
 pub fn eval(args: Args) -> CliResult {
     let model_path = args.required("model")?.to_owned();
     let images = args.required("images")?.to_owned();
@@ -255,12 +240,7 @@ pub fn eval(args: Args) -> CliResult {
     let model = load_any(BufReader::new(File::open(&model_path)?))?;
     let dataset = load_dataset(&images, Some(&labels))?;
     let accuracy = model.accuracy(dataset.pairs())?;
-    println!(
-        "accuracy of {} model over {} images: {}",
-        model.kind(),
-        dataset.len(),
-        fmt_pct(accuracy)
-    );
+    println!("accuracy of model over {} images: {}", dataset.len(), fmt_pct(accuracy));
 
     let mut table = TextTable::new(["class", "count", "accuracy"]);
     for class in 0..model.num_classes() {
@@ -286,9 +266,7 @@ fn parse_strategy(name: &str) -> Result<Strategy, Box<dyn Error>> {
     })
 }
 
-/// `fuzz`: an HDTest campaign over unlabeled images. The model kind is
-/// auto-detected: dense and binarized classifiers fuzz through the same
-/// unified `Model`/`TargetModel` surface.
+/// `fuzz`: an HDTest campaign over unlabeled images.
 pub fn fuzz(args: Args) -> CliResult {
     let model_path = args.required("model")?.to_owned();
     let images_path = args.required("images")?.to_owned();
@@ -372,11 +350,10 @@ pub fn fuzz(args: Args) -> CliResult {
 /// `serve`: long-lived HTTP inference server over stored models.
 ///
 /// `--model F` registers one model as `default`; `--models a=f1,b=f2`
-/// registers several by name (both may be combined). Model kinds are
-/// auto-detected from the file magic, so dense and binarized models serve
-/// side by side. `--model-dir DIR` jails every `/v1/reload` read and
-/// `/v1/snapshot` write (and the startup loads) inside `DIR` — escaping
-/// paths get a 403. Requests coalesce into packed batch predicts; see the
+/// registers several by name (both may be combined); model files are
+/// `HDB1`, or legacy `HDC1` converted on load. `--model-dir DIR` jails
+/// every `/v1/reload` read and `/v1/snapshot` write (and the startup
+/// loads) inside `DIR` — escaping paths get a 403. Requests coalesce into packed batch predicts; see the
 /// `hdc-serve` crate docs for the endpoint reference and `/metrics` for
 /// live batch/latency histograms.
 ///
@@ -482,8 +459,8 @@ pub fn serve(args: Args) -> CliResult {
             .map_err(|e| format!("cannot open model file {path}: {e}"))?;
         let info = registry.load(name, &resolved)?;
         println!(
-            "loaded {} model '{name}' from {path}: D = {}, {} classes, {}x{} inputs",
-            info.kind, info.dim, info.classes, info.width, info.height
+            "loaded model '{name}' from {path}: D = {}, {} classes, {}x{} inputs",
+            info.dim, info.classes, info.width, info.height
         );
     }
 
@@ -533,8 +510,7 @@ pub fn serve(args: Args) -> CliResult {
 }
 
 /// `defend`: fuzz, retrain on half the corpus, re-attack, store the
-/// hardened model. Dense models only — the §V-D retraining defense is
-/// defined on the dense accumulators.
+/// hardened model (the §V-D retraining defense).
 pub fn defend(args: Args) -> CliResult {
     let model_path = args.required("model")?.to_owned();
     let images_path = args.required("images")?.to_owned();
@@ -542,11 +518,7 @@ pub fn defend(args: Args) -> CliResult {
     let strategy = parse_strategy(args.get("strategy").unwrap_or("gauss"))?;
     let seed: u64 = args.get_or("seed", 1234)?;
 
-    let AnyModel::Dense(mut model) = load_any(BufReader::new(File::open(&model_path)?))? else {
-        return Err("defend requires a dense (HDC1) model; \
-                    fuzz and eval accept either kind"
-            .into());
-    };
+    let mut model = load_any(BufReader::new(File::open(&model_path)?))?;
     let dataset = load_dataset(&images_path, None)?;
 
     let campaign = Campaign::new(

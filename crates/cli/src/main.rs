@@ -26,15 +26,13 @@ USAGE:
 COMMANDS:
   gen-data   generate a synthetic digit dataset as IDX files
              --out DIR [--train N] [--test N] [--seed N]
-  train      one-shot train an HDC model from IDX files (dense or binarized;
-             every other command auto-detects the kind), or stream labeled
+  train      one-shot train an HDC model from IDX files, or stream labeled
              examples to a live server's /v1/train (online learning)
-             --images F --labels F --out F [--kind dense|binary] [--dim N]
-             [--levels N] [--seed N]
+             --images F --labels F --out F [--dim N] [--levels N] [--seed N]
              --images F --labels F --serve-url HOST:PORT [--serve-model NAME] [--chunk N]
-  eval       evaluate a model (either kind) on labeled IDX data
+  eval       evaluate a model on labeled IDX data
              --model F --images F --labels F
-  fuzz       run an HDTest campaign over unlabeled IDX images (either kind)
+  fuzz       run an HDTest campaign over unlabeled IDX images
              --model F --images F [--strategy gauss|rand|row_rand|col_rand|row&col_rand|shift]
              [--budget L2] [--count N] [--seed N] [--csv F] [--out-dir DIR]
              [--unguided true] [--minimize true]
@@ -42,8 +40,7 @@ COMMANDS:
              --model F --images F --out F [--strategy S] [--seed N]
   serve      HTTP inference server with request coalescing, online learning
              (/v1/train, /v1/feedback, /v1/snapshot), a write-ahead delta
-             log for crash recovery, and live metrics; dense and binarized
-             models serve side by side (auto-detected)
+             log for crash recovery, and live metrics
              --model F | --models name=file[,name=file...]
              [--addr HOST:PORT] [--workers N] [--max-batch N] [--linger-us N]
              [--model-dir DIR: jail reload/snapshot paths, escapes get 403]
@@ -85,7 +82,6 @@ fn main() -> ExitCode {
                 "images",
                 "labels",
                 "out",
-                "kind",
                 "dim",
                 "levels",
                 "seed",

@@ -106,24 +106,6 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Adds a hypervector with an integer weight (weight 1 ≡ [`add`](Self::add)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if dimensions differ.
-    pub fn add_weighted(&mut self, hv: &Hypervector, weight: i32) -> Result<(), HdcError> {
-        self.check_dim(hv)?;
-        for (s, &c) in self.sums.iter_mut().zip(hv.as_slice()) {
-            *s += weight * i32::from(c);
-        }
-        if weight >= 0 {
-            self.count += weight as usize;
-        } else {
-            self.count = self.count.saturating_sub((-weight) as usize);
-        }
-        Ok(())
-    }
-
     /// Merges another accumulator into this one.
     ///
     /// # Errors
@@ -263,19 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn add_weighted_matches_repeated_add() {
-        let mut r = rng();
-        let hv = Hypervector::random(100, &mut r);
-        let mut a = Accumulator::zeros(100);
-        let mut b = Accumulator::zeros(100);
-        a.add_weighted(&hv, 3).unwrap();
-        for _ in 0..3 {
-            b.add(&hv).unwrap();
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn merge_matches_sequential_adds() {
         let mut r = rng();
         let a = Hypervector::random(100, &mut r);
@@ -299,7 +268,6 @@ mod tests {
         let mut acc = Accumulator::zeros(50);
         assert!(acc.add(&hv).is_err());
         assert!(acc.subtract(&hv).is_err());
-        assert!(acc.add_weighted(&hv, 2).is_err());
         assert!(acc.merge(&Accumulator::zeros(100)).is_err());
     }
 

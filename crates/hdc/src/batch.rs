@@ -2,11 +2,8 @@
 //!
 //! The batch classification APIs ([`crate::AssociativeMemory::classify_batch`],
 //! [`crate::HdcClassifier::predict_batch`]) fan work out across OS threads
-//! with `std::thread::scope`. A `rayon`-backed executor would be the natural
-//! drop-in here, but the offline build environment cannot fetch rayon (see
-//! the `rayon` feature stub in `Cargo.toml`); scoped threads over contiguous
-//! chunks give the same parallel speedup for these embarrassingly parallel
-//! workloads without any dependency.
+//! with `std::thread::scope`: scoped threads over contiguous chunks, which
+//! suit these embarrassingly parallel workloads without any dependency.
 //!
 //! Guarantees:
 //!

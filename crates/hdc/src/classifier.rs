@@ -3,13 +3,19 @@
 //! Implements the paper's three phases (§III): encoding, one-shot training
 //! into the associative memory, and similarity-check testing. Also provides
 //! the two retraining modes used by the §V-D defense case study.
+//!
+//! A query stays packed from encode to scan: the encoder bundles it into a
+//! [`BitCounter`], the counter bipolarizes straight to packed words, and
+//! [`AssociativeMemory::similarities_packed_into`] scans those words.
+//! Training adds the same packed words to the class counters.
 
 use crate::am::{argmax, AssociativeMemory};
 use crate::batch;
-use crate::encoder::Encoder;
+use crate::encoder::{bundle_query, Encoder};
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
-use crate::similarity::cosine;
+use crate::kernel::BitCounter;
+use crate::packed::PackedHypervector;
 use std::sync::Arc;
 
 /// The outcome of classifying one input.
@@ -36,11 +42,8 @@ pub struct Feedback {
     pub prediction: Prediction,
 }
 
-/// Builds a [`Prediction`] from a similarity vector and its argmax —
-/// shared by the dense classifier and the binarized side's
-/// [`crate::BinaryPrediction::to_prediction`] conversion, so the
-/// margin/second-best semantics can never diverge between kinds.
-pub(crate) fn prediction_from_similarities(class: usize, similarities: Vec<f64>) -> Prediction {
+/// Builds a [`Prediction`] from a similarity vector and its argmax.
+fn prediction_from_similarities(class: usize, similarities: Vec<f64>) -> Prediction {
     let best = similarities[class];
     let second = similarities
         .iter()
@@ -76,7 +79,7 @@ pub(crate) fn prediction_from_similarities(class: usize, similarities: Vec<f64>)
 ///
 /// The encoder lives behind an [`Arc`]: item memories are immutable after
 /// construction, so every clone of a classifier shares them. `clone()`
-/// therefore copies only the per-class accumulators and reference vectors —
+/// therefore copies only the per-class counters and packed references —
 /// which is what makes the serving layer's clone-train-publish cycle cheap
 /// (the online-training publish path never duplicates the encoder; see the
 /// `serve_train` bench row).
@@ -96,14 +99,9 @@ impl<E> Clone for HdcClassifier<E> {
 }
 
 impl<E> HdcClassifier<E> {
-    /// The associative memory (reference vectors and accumulators).
+    /// The associative memory (class counters and packed references).
     pub fn associative_memory(&self) -> &AssociativeMemory {
         &self.am
-    }
-
-    /// Crate-internal: lets model persistence swap in a deserialized AM.
-    pub(crate) fn am_mut(&mut self) -> &mut AssociativeMemory {
-        &mut self.am
     }
 
     /// The encoder.
@@ -123,6 +121,11 @@ impl<E> HdcClassifier<E> {
         self.am.num_classes()
     }
 
+    /// Hypervector dimension.
+    pub fn dim(&self) -> usize {
+        self.am.dim()
+    }
+
     /// Bipolarizes the associative memory; must be called after training or
     /// retraining and before prediction.
     pub fn finalize(&mut self) {
@@ -132,6 +135,30 @@ impl<E> HdcClassifier<E> {
     /// Whether the model is ready for prediction.
     pub fn is_finalized(&self) -> bool {
         self.am.is_finalized()
+    }
+
+    /// The bundle counter of `class` (see
+    /// [`AssociativeMemory::counter`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::UnknownClass`] for an out-of-range class.
+    pub fn counter(&self, class: usize) -> Result<&BitCounter, HdcError> {
+        self.am.counter(class)
+    }
+
+    /// Halves every class counter whose bundle size reached `limit`,
+    /// leaving every reference — and so every prediction and feedback
+    /// gate — bit-identical (see
+    /// [`AssociativeMemory::rescale_counters`]). Returns whether any class
+    /// was rescaled.
+    ///
+    /// The serving layer runs this check deterministically at every
+    /// publish *and* on WAL replay, so a recovered process makes the
+    /// same rescale decisions at the same versions as one that never
+    /// crashed.
+    pub fn rescale_counters(&mut self, limit: u64) -> bool {
+        self.am.rescale_counters(limit)
     }
 }
 
@@ -146,8 +173,8 @@ impl<E: Encoder> HdcClassifier<E> {
     }
 
     /// Creates an untrained classifier on an already-shared encoder, so
-    /// several models (e.g. a dense and a binarized classifier under
-    /// differential test) can share one set of item memories.
+    /// several models (e.g. two classifiers under differential test) can
+    /// share one set of item memories.
     ///
     /// # Panics
     ///
@@ -155,6 +182,23 @@ impl<E: Encoder> HdcClassifier<E> {
     pub fn with_shared_encoder(encoder: Arc<E>, num_classes: usize) -> Self {
         let dim = encoder.dim();
         Self { encoder, am: AssociativeMemory::new(num_classes, dim) }
+    }
+
+    /// Reconstructs a classifier from per-class counters (persistence
+    /// path); the references are re-derived immediately, so the returned
+    /// model both serves and keeps learning.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::EmptyModel`] for an empty counter vector and
+    /// [`HdcError::DimensionMismatch`] when a counter does not match the
+    /// encoder's dimension.
+    pub fn from_counters(encoder: E, counters: Vec<BitCounter>) -> Result<Self, HdcError> {
+        let dim = encoder.dim();
+        if let Some(bad) = counters.iter().find(|c| c.dim() != dim) {
+            return Err(HdcError::DimensionMismatch { expected: dim, actual: bad.dim() });
+        }
+        Ok(Self { encoder: Arc::new(encoder), am: AssociativeMemory::from_counters(counters)? })
     }
 
     /// Encodes `input` into its query hypervector.
@@ -166,6 +210,42 @@ impl<E: Encoder> HdcClassifier<E> {
         self.encoder.encode(input)
     }
 
+    /// Encodes `input` to its packed query, bundling into the counter in
+    /// `slot` (reused across calls) when the encoder has a counter form, so
+    /// no `Vec<i8>` is built.
+    pub(crate) fn query(
+        &self,
+        input: &E::Input,
+        slot: &mut Option<BitCounter>,
+    ) -> Result<PackedHypervector, HdcError> {
+        match bundle_query(&*self.encoder, input, None, slot)? {
+            Some(query) => Ok(query),
+            None => Ok(self.encoder.encode(input)?.packed().clone()),
+        }
+    }
+
+    /// Classifies a packed query.
+    pub(crate) fn predict_packed(&self, query: &PackedHypervector) -> Result<Prediction, HdcError> {
+        let mut sims = Vec::with_capacity(self.num_classes());
+        self.am.similarities_packed_into(query, &mut sims)?;
+        Ok(prediction_from_similarities(argmax(&sims), sims))
+    }
+
+    /// `(predicted class, 1 − cosine to the reference class)` of a packed
+    /// query, scanning into the reusable `sims` buffer.
+    pub(crate) fn score(
+        &self,
+        query: &PackedHypervector,
+        reference: usize,
+        sims: &mut Vec<f64>,
+    ) -> Result<(usize, f64), HdcError> {
+        self.am.similarities_packed_into(query, sims)?;
+        let similarity = *sims
+            .get(reference)
+            .ok_or(HdcError::UnknownClass { class: reference, num_classes: self.num_classes() })?;
+        Ok((argmax(sims), 1.0 - similarity))
+    }
+
     /// One-shot training: bundles the encoded input into its class (§III-B).
     ///
     /// # Errors
@@ -173,8 +253,8 @@ impl<E: Encoder> HdcClassifier<E> {
     /// Returns [`HdcError::UnknownClass`] for a bad label or propagates
     /// encoder errors.
     pub fn train_one(&mut self, input: &E::Input, label: usize) -> Result<(), HdcError> {
-        let hv = self.encoder.encode(input)?;
-        self.am.add(label, &hv)
+        let query = self.query(input, &mut None)?;
+        self.am.add(label, &query)
     }
 
     /// Trains on a batch of `(input, label)` pairs and finalizes.
@@ -187,8 +267,10 @@ impl<E: Encoder> HdcClassifier<E> {
         It: IntoIterator<Item = (&'a E::Input, usize)>,
         E::Input: 'a,
     {
+        let mut slot = None;
         for (input, label) in examples {
-            self.train_one(input, label)?;
+            let query = self.query(input, &mut slot)?;
+            self.am.add(label, &query)?;
         }
         self.finalize();
         Ok(())
@@ -201,8 +283,7 @@ impl<E: Encoder> HdcClassifier<E> {
     /// Returns [`HdcError::EmptyModel`] if the model was never finalized, or
     /// propagates encoder errors.
     pub fn predict(&self, input: &E::Input) -> Result<Prediction, HdcError> {
-        let query = self.encoder.encode(input)?;
-        self.predict_encoded(&query)
+        self.predict_packed(&self.query(input, &mut None)?)
     }
 
     /// Classifies an already-encoded query hypervector.
@@ -211,19 +292,13 @@ impl<E: Encoder> HdcClassifier<E> {
     ///
     /// Same as [`predict`](Self::predict), minus encoder errors.
     pub fn predict_encoded(&self, query: &Hypervector) -> Result<Prediction, HdcError> {
-        let (class, similarities) = self.am.classify(query)?;
-        Ok(prediction_from_similarities(class, similarities))
+        self.predict_packed(query.packed())
     }
 
     /// Classifies a batch of inputs, fanning out across worker threads for
     /// large batches. Per-input results are identical to
-    /// [`predict`](Self::predict) and returned in input order; packed class
-    /// references are shared across all workers, and each query is encoded
-    /// and packed exactly once.
-    ///
-    /// This is the bulk-serving entry point: on `D = 10,000` models it
-    /// beats a sequential `predict` loop by the core count on top of the
-    /// word-packed similarity win (see `benches/kernels.rs`).
+    /// [`predict`](Self::predict) and returned in input order; each worker
+    /// reuses one bundle counter across its chunk.
     ///
     /// # Errors
     ///
@@ -233,27 +308,13 @@ impl<E: Encoder> HdcClassifier<E> {
     where
         E::Input: Sync,
     {
-        if !self.am.is_finalized() {
+        if !self.is_finalized() {
             return Err(HdcError::EmptyModel);
         }
-        self.am.warm_packed();
         self.encoder.warm_up();
         batch::map_chunks(inputs, |chunk| {
-            // Per-worker: batch encode, then packed classification.
-            // Encoding streams in small blocks so live queries stay
-            // cache-resident instead of accumulating the whole chunk's
-            // hypervectors (~11 KB each at D = 10,000) in memory; encoder
-            // scratch is amortized within each block (re-created per block,
-            // ~1/32 of an encode's cost).
-            const ENCODE_BLOCK: usize = 32;
-            let mut out = Vec::with_capacity(chunk.len());
-            for block in chunk.chunks(ENCODE_BLOCK) {
-                let queries = self.encoder.encode_batch(block)?;
-                for query in &queries {
-                    out.push(self.predict_encoded(query)?);
-                }
-            }
-            Ok(out)
+            let mut slot = None;
+            chunk.iter().map(|input| self.predict_packed(&self.query(input, &mut slot)?)).collect()
         })
     }
 
@@ -278,9 +339,9 @@ impl<E: Encoder> HdcClassifier<E> {
 
     /// One shared pass per input yielding `(predicted class, 1 − cosine to
     /// the reference class)` — the exact pair the fuzzing loop consumes for
-    /// every candidate (§IV). Runs inline (fuzzer batches are small), reuses
-    /// one similarity scratch buffer across the whole batch, and touches
-    /// each query's packed form once.
+    /// every candidate (§IV). Runs inline (fuzzer batches are small) and
+    /// reuses one bundle counter and one similarity buffer across the
+    /// whole batch.
     ///
     /// # Errors
     ///
@@ -297,14 +358,11 @@ impl<E: Encoder> HdcClassifier<E> {
                 num_classes: self.num_classes(),
             });
         }
-        let queries = self.encoder.encode_batch(inputs)?;
-        let mut sims: Vec<f64> = Vec::with_capacity(self.num_classes());
-        queries
+        let mut slot = None;
+        let mut sims = Vec::with_capacity(self.num_classes());
+        inputs
             .iter()
-            .map(|query| {
-                self.am.similarities_into(query, &mut sims)?;
-                Ok((argmax(&sims), 1.0 - sims[reference]))
-            })
+            .map(|input| self.score(&self.query(input, &mut slot)?, reference, &mut sims))
             .collect()
     }
 
@@ -319,15 +377,14 @@ impl<E: Encoder> HdcClassifier<E> {
     /// Returns [`HdcError::UnknownClass`] / [`HdcError::EmptyModel`], or
     /// propagates encoder errors.
     pub fn fitness(&self, input: &E::Input, reference_class: usize) -> Result<f64, HdcError> {
-        let query = self.encoder.encode(input)?;
-        let reference = self.am.reference(reference_class)?;
-        Ok(1.0 - cosine(reference, &query))
+        let query = self.query(input, &mut None)?;
+        Ok(self.score(&query, reference_class, &mut Vec::new())?.1)
     }
 
     /// Online learning: bundles one labeled example into its class and
-    /// re-finalizes **only that class** (the accumulators are retained
-    /// after finalize, and [`AssociativeMemory::finalize`] re-bipolarizes
-    /// dirty classes only). The resulting model is bit-identical to one
+    /// re-finalizes **only that class** (the counters are retained after
+    /// finalize, and [`AssociativeMemory::finalize`] re-bipolarizes dirty
+    /// classes only). The resulting model is bit-identical to one
     /// retrained from scratch on the concatenated dataset, at the cost of
     /// one encode plus one class bipolarization — orders of magnitude
     /// cheaper than a full retrain (see the `train_partial_fit` bench row).
@@ -350,9 +407,9 @@ impl<E: Encoder> HdcClassifier<E> {
     /// examples applied.
     ///
     /// Atomic: every example is encoded and validated **before** any
-    /// accumulator is touched, so a bad example leaves the model exactly
-    /// as it was (important for the serving layer, where one request's
-    /// malformed input must not corrupt the shared model).
+    /// counter is touched, so a bad example leaves the model exactly as it
+    /// was (important for the serving layer, where one request's malformed
+    /// input must not corrupt the shared model).
     ///
     /// # Errors
     ///
@@ -364,15 +421,16 @@ impl<E: Encoder> HdcClassifier<E> {
         E::Input: 'a,
     {
         let num_classes = self.num_classes();
-        let mut encoded: Vec<(Hypervector, usize)> = Vec::new();
+        let mut slot = None;
+        let mut encoded: Vec<(PackedHypervector, usize)> = Vec::new();
         for (input, label) in examples {
             if label >= num_classes {
                 return Err(HdcError::UnknownClass { class: label, num_classes });
             }
-            encoded.push((self.encoder.encode(input)?, label));
+            encoded.push((self.query(input, &mut slot)?, label));
         }
-        for (hv, label) in &encoded {
-            self.am.add(*label, hv)?;
+        for (query, label) in &encoded {
+            self.am.add(*label, query)?;
         }
         self.finalize();
         Ok(encoded.len())
@@ -392,18 +450,11 @@ impl<E: Encoder> HdcClassifier<E> {
     ///
     /// Same as [`retrain_adaptive`](Self::retrain_adaptive).
     pub fn feedback(&mut self, input: &E::Input, label: usize) -> Result<Feedback, HdcError> {
-        if label >= self.num_classes() {
-            return Err(HdcError::UnknownClass { class: label, num_classes: self.num_classes() });
+        let (prediction, updated) = self.adapt(input, label)?;
+        if updated {
+            self.finalize();
         }
-        let query = self.encoder.encode(input)?;
-        let prediction = self.predict_encoded(&query)?;
-        if prediction.class == label {
-            return Ok(Feedback { updated: false, prediction });
-        }
-        self.am.add(label, &query)?;
-        self.am.subtract(prediction.class, &query)?;
-        self.finalize();
-        Ok(Feedback { updated: true, prediction })
+        Ok(Feedback { updated, prediction })
     }
 
     /// Additive retraining (§V-D defense): bundles a correctly labeled
@@ -429,17 +480,25 @@ impl<E: Encoder> HdcClassifier<E> {
     /// Returns [`HdcError::EmptyModel`] if called before finalization, or
     /// propagates label/encoder errors.
     pub fn retrain_adaptive(&mut self, input: &E::Input, label: usize) -> Result<bool, HdcError> {
+        Ok(self.adapt(input, label)?.1)
+    }
+
+    /// The adaptive update shared by [`feedback`](Self::feedback) and
+    /// [`retrain_adaptive`](Self::retrain_adaptive): the prior prediction
+    /// and whether the update was applied. Leaves the model unfinalized
+    /// after an update.
+    fn adapt(&mut self, input: &E::Input, label: usize) -> Result<(Prediction, bool), HdcError> {
         if label >= self.num_classes() {
             return Err(HdcError::UnknownClass { class: label, num_classes: self.num_classes() });
         }
-        let query = self.encoder.encode(input)?;
-        let prediction = self.predict_encoded(&query)?;
+        let query = self.query(input, &mut None)?;
+        let prediction = self.predict_packed(&query)?;
         if prediction.class == label {
-            return Ok(false);
+            return Ok((prediction, false));
         }
         self.am.add(label, &query)?;
         self.am.subtract(prediction.class, &query)?;
-        Ok(true)
+        Ok((prediction, true))
     }
 
     /// Fraction of `(input, label)` pairs predicted correctly.
@@ -452,10 +511,11 @@ impl<E: Encoder> HdcClassifier<E> {
         It: IntoIterator<Item = (&'a E::Input, usize)>,
         E::Input: 'a,
     {
+        let mut slot = None;
         let mut correct = 0usize;
         let mut total = 0usize;
         for (input, label) in examples {
-            if self.predict(input)?.class == label {
+            if self.predict_packed(&self.query(input, &mut slot)?)?.class == label {
                 correct += 1;
             }
             total += 1;
@@ -470,7 +530,8 @@ impl<E: Encoder> HdcClassifier<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoder::{PixelEncoder, PixelEncoderConfig};
+    use crate::accumulator::Accumulator;
+    use crate::encoder::{bipolarize_sums, PixelEncoder, PixelEncoderConfig};
     use crate::memory::ValueEncoding;
 
     fn tiny_model() -> HdcClassifier<PixelEncoder> {
@@ -724,12 +785,12 @@ mod tests {
         let mut model = tiny_model();
         let pats = patterns();
         model.train_batch(pats.iter().enumerate().map(|(l, p)| (&p[..], l))).unwrap();
-        let before = model.associative_memory().accumulator(0).unwrap().clone();
+        let before = model.counter(0).unwrap().clone();
         let bad: [u8; 3] = [1, 2, 3];
         // Good example first, bad second: neither may be applied.
         let err = model.partial_fit_batch([(&pats[0][..], 0), (&bad[..], 1)]).unwrap_err();
         assert!(matches!(err, HdcError::InputShapeMismatch { .. }));
-        assert_eq!(*model.associative_memory().accumulator(0).unwrap(), before);
+        assert_eq!(*model.counter(0).unwrap(), before);
         assert!(model.is_finalized(), "failed batch must not definalize the model");
         // Bad label is rejected before any encode.
         assert!(matches!(
@@ -778,5 +839,116 @@ mod tests {
         model.train_batch(pats.iter().enumerate().map(|(l, p)| (&p[..], l))).unwrap();
         let hv = model.encode(&pats[2][..]).unwrap();
         assert_eq!(model.predict(&pats[2][..]).unwrap(), model.predict_encoded(&hv).unwrap());
+    }
+
+    #[test]
+    fn feedback_matches_accumulator_sum_semantics() {
+        // The complement-add subtract: after feedback updates the counters'
+        // implied sums (2c − n) equal the scalar accumulator oracle's under
+        // the same add/subtract history.
+        let pats = patterns();
+        let mut model = tiny_model();
+        let mut oracle: Vec<Accumulator> = (0..3).map(|_| Accumulator::zeros(2_000)).collect();
+        for (l, p) in pats.iter().enumerate() {
+            model.train_one(&p[..], l).unwrap();
+            oracle[l].add(&model.encode(&p[..]).unwrap()).unwrap();
+        }
+        model.finalize();
+        // Lie about labels to force updates.
+        for (p, label) in [(&pats[1], 0), (&pats[2], 0), (&pats[0], 2)] {
+            let fb = model.feedback(&p[..], label).unwrap();
+            assert!(fb.updated);
+            let query = model.encode(&p[..]).unwrap();
+            oracle[label].add(&query).unwrap();
+            oracle[fb.prediction.class].subtract(&query).unwrap();
+        }
+        for (class, acc) in oracle.iter().enumerate() {
+            let sums = model.counter(class).unwrap().clone().sums();
+            assert_eq!(sums, acc.sums(), "class {class}: implied sums diverged from the oracle");
+            assert_eq!(
+                model.associative_memory().reference(class).unwrap(),
+                bipolarize_sums(acc.sums()).packed(),
+                "class {class}"
+            );
+        }
+    }
+
+    #[test]
+    fn rescale_halves_counters_but_predictions_are_bit_identical() {
+        // The overflow guard: rescaling must preserve every packed
+        // reference bit-for-bit (sign and tie structure of the implied
+        // sums survive the halving), across even and odd bundle sizes,
+        // subtract histories, and tail dims that exercise word masking.
+        for dim in [63usize, 64, 65, 127, 2_000] {
+            let enc = PixelEncoder::new(PixelEncoderConfig {
+                dim,
+                width: 4,
+                height: 4,
+                levels: 8,
+                value_encoding: ValueEncoding::Random,
+                seed: 91,
+            })
+            .unwrap();
+            let pats = patterns();
+            let mut model = HdcClassifier::new(enc, 3);
+            // Class 0: 4 examples (even count — ties possible); class 1:
+            // 3 (odd); class 2: 1 (also below any sane limit, untouched).
+            for (input, label) in [
+                (&pats[0], 0),
+                (&pats[1], 0),
+                (&pats[0], 0),
+                (&pats[2], 0),
+                (&pats[1], 1),
+                (&pats[2], 1),
+                (&pats[1], 1),
+                (&pats[2], 2),
+            ] {
+                model.train_one(&input[..], label).unwrap();
+            }
+            model.finalize();
+            // A mislabeled feedback round adds to class 1 (count 3 → 4)
+            // and subtracts from class 0 (count 4 → 5).
+            let fb = model.feedback(&pats[0][..], 1).unwrap();
+            assert!(fb.updated && fb.prediction.class == 0, "dim {dim}");
+            let control = model.clone();
+            let before: Vec<_> =
+                (0..3).map(|c| model.associative_memory().reference(c).unwrap().clone()).collect();
+            let counts_before: Vec<_> = (0..3).map(|c| model.counter(c).unwrap().count()).collect();
+
+            assert!(model.rescale_counters(2), "classes 0 and 1 are at/over the limit");
+            assert!(model.is_finalized(), "rescale must leave the model serving");
+            for (class, reference) in before.iter().enumerate() {
+                assert_eq!(
+                    model.associative_memory().reference(class).unwrap(),
+                    reference,
+                    "dim {dim} class {class}: rescale changed the reference"
+                );
+            }
+            // Bundle sizes actually shrank (n → 2⌈n/4⌉) where triggered.
+            assert_eq!(model.counter(0).unwrap().count(), 2 * counts_before[0].div_ceil(4));
+            assert_eq!(model.counter(1).unwrap().count(), 2 * counts_before[1].div_ceil(4));
+            assert_eq!(model.counter(2).unwrap().count(), counts_before[2], "below limit");
+            // No class at/over the (new, smaller) counts: idempotent now.
+            assert!(!model.rescale_counters(1 << 31));
+
+            // Predictions and the feedback mispredict-gate are
+            // bit-identical to the unrescaled control, mislabeled probes
+            // included. (Feedback runs on clones: once an update fires,
+            // future training legitimately weighs new examples more
+            // against the halved bundle — the guarantee is that the
+            // *decision surface at rescale time* is unchanged.)
+            for p in &pats {
+                assert_eq!(
+                    model.predict(&p[..]).unwrap(),
+                    control.predict(&p[..]).unwrap(),
+                    "dim {dim}: rescale changed a prediction"
+                );
+                let mut probe = model.clone();
+                let mut probe_control = control.clone();
+                let fb = probe.feedback(&p[..], 0).unwrap();
+                let fb_control = probe_control.feedback(&p[..], 0).unwrap();
+                assert_eq!(fb, fb_control, "dim {dim}: feedback gate diverged");
+            }
+        }
     }
 }

@@ -15,8 +15,7 @@ pub struct ConfusionMatrix {
 }
 
 impl ConfusionMatrix {
-    /// Evaluates any [`Model`] — dense, binarized, or [`crate::AnyModel`]
-    /// — over labeled examples.
+    /// Evaluates any [`Model`] over labeled examples.
     ///
     /// # Errors
     ///

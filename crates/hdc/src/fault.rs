@@ -47,7 +47,7 @@ impl FaultyAssociativeMemory {
         let mut references = Vec::with_capacity(model.num_classes());
         for class in 0..model.num_classes() {
             let clean = model.associative_memory().reference(class)?;
-            let mut components = clean.as_slice().to_vec();
+            let mut components = crate::kernel::unpack_words(clean.words(), clean.dim());
             for c in &mut components {
                 if rng.gen::<f64>() < bit_error_rate {
                     *c = -*c;

@@ -14,9 +14,8 @@
 //! * `permute` (cyclic shift ρ) is a word-level bit rotation with carry.
 //!
 //! This is the representation hardware implementations use (Schmuck et al.,
-//! JETC 2019) and the same identity the binarized classifier exploits; this
-//! module makes it the *internal* compute representation of the dense
-//! bipolar pipeline as well. [`crate::Hypervector`] keeps a lazily computed
+//! JETC 2019); this module makes it the *internal* compute representation
+//! of the bipolar pipeline as well. [`crate::Hypervector`] keeps a lazily computed
 //! packed mirror of its components and routes [`crate::dot`],
 //! [`crate::cosine`] and [`crate::hamming`] through these kernels; the
 //! scalar loops they replace live on in [`mod@reference`] as the oracle
@@ -976,6 +975,18 @@ impl BitCounter {
         out
     }
 }
+
+/// Counters are equal when their bundles are: the same dimension, count
+/// and per-component set-bit counts, however the adds are buffered.
+impl PartialEq for BitCounter {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.count == other.count
+            && self.clone().set_counts() == other.clone().set_counts()
+    }
+}
+
+impl Eq for BitCounter {}
 
 impl Clone for BitCounter {
     fn clone(&self) -> Self {

@@ -39,45 +39,50 @@
 //!
 //! On top of the kernels sits a batch layer —
 //! [`AssociativeMemory::classify_batch`], [`HdcClassifier::predict_batch`]
-//! and [`HdcClassifier::evaluate_batch`] — that packs queries once, reuses
-//! encode scratch across a batch, and fans out across worker threads
-//! (`std::thread::scope`; a `rayon` executor is feature-gated off until the
-//! dependency is available offline). `benches/kernels.rs` in the bench
-//! crate tracks the speedups; see `ROADMAP.md` for current numbers.
+//! and [`HdcClassifier::evaluate_batch`] — that reuses encode scratch
+//! across a batch and fans out across worker threads
+//! (`std::thread::scope`). `benches/kernels.rs` in the bench crate tracks
+//! the speedups; see `ROADMAP.md` for current numbers.
+//!
+//! ## One classifier over bundle counters
+//!
+//! [`HdcClassifier`] keeps one bit-sliced [`kernel::BitCounter`] and one
+//! packed reference per class. Training adds packed encodings to the
+//! counters; a query is bundled into a counter, bipolarized straight to
+//! packed words and scanned by
+//! [`AssociativeMemory::similarities_packed_into`]; for encoders with a
+//! counter form ([`Encoder::bundle_into`]) no per-query `Vec<i8>` is
+//! built. The `i32` [`Accumulator`] stays as the scalar oracle the
+//! counters are pinned against.
 //!
 //! ## Online learning
 //!
-//! Classifiers retain their per-class trainable counters after
-//! [`HdcClassifier::finalize`] and track which classes each update
+//! The classifier retains its per-class counters after
+//! [`HdcClassifier::finalize`] and tracks which classes each update
 //! dirtied, so [`HdcClassifier::partial_fit`] /
-//! [`HdcClassifier::partial_fit_batch`] (and their
-//! [`BinaryClassifier`] counterparts) absorb new labeled examples by
+//! [`HdcClassifier::partial_fit_batch`] absorb new labeled examples by
 //! re-finalizing **only the dirty classes** — bit-identical to a full
 //! retrain on the concatenated dataset, pinned by
 //! `tests/online_learning.rs` and roughly 120× cheaper at `D = 10,000`
 //! with 10 classes (the `train_partial_fit` bench row).
-//! [`HdcClassifier::feedback`] and [`BinaryClassifier::feedback`] add the
-//! perceptron-style adaptive update (§V-E). [`io`] persists the counter
-//! state itself (`HDC1`/`HDB1`), so a saved-then-reloaded model keeps
-//! learning exactly where it left off — which is what the serving layer's
-//! `/v1/train`, `/v1/feedback` and `/v1/snapshot` endpoints build on.
+//! [`HdcClassifier::feedback`] adds the perceptron-style adaptive update
+//! (§V-E); its subtract adds the query's complement, so counters only
+//! grow and [`HdcClassifier::rescale_counters`] keeps them bounded. [`io`]
+//! persists the counter state itself (`HDB1`, with legacy `HDC1` sums
+//! still readable), so a saved-then-reloaded model keeps learning exactly
+//! where it left off — which is what the serving layer's `/v1/train`,
+//! `/v1/feedback` and `/v1/snapshot` endpoints build on.
 //!
-//! ## One model surface, two kinds
+//! ## One model surface
 //!
-//! The [`model`] module unifies the dense and binarized classifiers
-//! behind one polymorphic surface: the [`Model`] trait (prediction,
-//! greybox fitness signals, online learning, warm-up — implemented by
-//! both classifiers over any encoder), [`ModelKind`], and the deployment
-//! enum [`AnyModel`] with static per-call dispatch and its own
-//! [`AnyModel::save`] / [`io::load_any`] (magic-sniffing) persistence
-//! pair. Both kinds report the same [`Prediction`] shape (the binarized
-//! side converts via `cos = 1 − 2·h/D` with identical tie-breaking), so
-//! consumers — `hdtest` campaigns via its blanket `TargetModel` impl,
-//! the serving registry, the CLI — are written once and run over either
-//! kind. Both classifiers hold their encoder behind an [`std::sync::Arc`],
-//! so cloning a model copies only counters and class vectors — the
-//! invariant that makes the serving layer's clone-train-publish cycle
-//! cheap (see `ARCHITECTURE.md`).
+//! The [`model`] module holds the [`Model`] trait (prediction, greybox
+//! fitness signals, delta-encoded candidates, online learning, warm-up)
+//! that `hdtest` campaigns (via its blanket `TargetModel` impl) and the
+//! serving registry bound on, and [`AnyModel`], the pixel-encoder
+//! classifier the registry and the CLI deploy. The classifier holds its
+//! encoder behind an [`std::sync::Arc`], so cloning a model copies only
+//! counters and class vectors — the invariant that makes the serving
+//! layer's clone-train-publish cycle cheap (see `ARCHITECTURE.md`).
 //!
 //! See `ARCHITECTURE.md` at the workspace root for the full layer map
 //! (kernel → packed mirror → BitCounter/CSA → encoders → batch →
@@ -100,7 +105,7 @@
 //! })?;
 //! let mut model = HdcClassifier::new(encoder, 2);
 //!
-//! // One-shot training: bundle each example into its class accumulator.
+//! // One-shot training: bundle each example into its class counter.
 //! let dark = vec![0u8; 16];
 //! let light = vec![255u8; 16];
 //! model.train_one(&dark, 0)?;
@@ -126,7 +131,6 @@
 pub mod accumulator;
 pub mod am;
 pub mod batch;
-pub mod binary;
 pub mod classifier;
 pub mod confusion;
 pub mod encoder;
@@ -144,7 +148,6 @@ pub mod similarity;
 
 pub use accumulator::Accumulator;
 pub use am::AssociativeMemory;
-pub use binary::{BinaryClassifier, BinaryPrediction};
 pub use classifier::{Feedback, HdcClassifier, Prediction};
 pub use confusion::ConfusionMatrix;
 pub use encoder::{
@@ -156,7 +159,7 @@ pub use error::HdcError;
 pub use fault::{bit_error_sweep, BitErrorPoint, FaultyAssociativeMemory};
 pub use hypervector::Hypervector;
 pub use memory::{ItemMemory, LevelMemory, ValueEncoding};
-pub use model::{AnyModel, Child, Model, ModelKind};
+pub use model::{AnyModel, Child, Model};
 pub use packed::PackedHypervector;
 pub use similarity::{cosine, cosine_accum, dot, hamming, normalized_hamming};
 
@@ -164,7 +167,6 @@ pub use similarity::{cosine, cosine_accum, dot, hamming, normalized_hamming};
 pub mod prelude {
     pub use crate::accumulator::Accumulator;
     pub use crate::am::AssociativeMemory;
-    pub use crate::binary::{BinaryClassifier, BinaryPrediction};
     pub use crate::classifier::{Feedback, HdcClassifier, Prediction};
     pub use crate::confusion::ConfusionMatrix;
     pub use crate::encoder::{
@@ -175,7 +177,7 @@ pub mod prelude {
     pub use crate::error::HdcError;
     pub use crate::hypervector::Hypervector;
     pub use crate::memory::{ItemMemory, LevelMemory, ValueEncoding};
-    pub use crate::model::{AnyModel, Model, ModelKind};
+    pub use crate::model::{AnyModel, Model};
     pub use crate::packed::PackedHypervector;
     pub use crate::similarity::{cosine, dot, hamming, normalized_hamming};
 }

@@ -8,9 +8,7 @@
 //! bundle counts (parity tie-breaks live), and across a save → load →
 //! continue-training round trip.
 
-use hdc::io::{
-    load_binary_classifier, load_pixel_classifier, save_binary_classifier, save_pixel_classifier,
-};
+use hdc::io::{load_any, save_pixel_classifier};
 use hdc::memory::ValueEncoding;
 use hdc::prelude::*;
 use hdc::AssociativeMemory;
@@ -52,7 +50,7 @@ proptest! {
     /// Counts are chosen so several classes end up with *even* bundle
     /// sizes, exercising the parity tie-break in re-finalized classes.
     #[test]
-    fn dense_partial_fit_matches_retrain_from_scratch(seed in any::<u64>()) {
+    fn partial_fit_matches_retrain_from_scratch(seed in any::<u64>()) {
         for dim in DIMS {
             let base = examples(seed, 6, 3);
             let online_updates = examples(seed ^ 0x01d1, 6, 3);
@@ -84,7 +82,7 @@ proptest! {
 
     /// One `partial_fit_batch` call == full retrain on everything.
     #[test]
-    fn dense_partial_fit_batch_matches_retrain(seed in any::<u64>()) {
+    fn partial_fit_batch_matches_retrain(seed in any::<u64>()) {
         for dim in DIMS {
             let base = examples(seed, 5, 3);
             let update = examples(seed ^ 0xba7c4, 7, 3);
@@ -111,40 +109,6 @@ proptest! {
         }
     }
 
-    /// Binary classifier: `partial_fit` == retrain from scratch, with even
-    /// per-class counts so the majority tie-break (`2c == n`) is live.
-    #[test]
-    fn binary_partial_fit_matches_retrain(seed in any::<u64>()) {
-        for dim in DIMS {
-            let base = examples(seed, 6, 2);
-            let update = examples(seed ^ 0xb1a2, 4, 2);
-
-            let mut online = BinaryClassifier::new(encoder(dim, 31), 2);
-            for (img, label) in &base {
-                online.train_one(&img[..], *label).expect("train");
-            }
-            online.finalize();
-            for (img, label) in &update {
-                online.partial_fit(&img[..], *label).expect("partial_fit");
-                prop_assert!(online.is_finalized());
-            }
-
-            let mut scratch = BinaryClassifier::new(encoder(dim, 31), 2);
-            for (img, label) in base.iter().chain(&update) {
-                scratch.train_one(&img[..], *label).expect("train");
-            }
-            scratch.finalize();
-
-            for c in 0..2 {
-                prop_assert_eq!(
-                    online.reference(c).expect("ref"),
-                    scratch.reference(c).expect("ref"),
-                    "dim {} class {}: binary partial_fit diverged", dim, c
-                );
-            }
-        }
-    }
-
     /// Raw associative memory: interleaved add/subtract (the adaptive
     /// feedback shape) with incremental finalizes == one full re-derive.
     #[test]
@@ -152,8 +116,8 @@ proptest! {
         for dim in DIMS {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut am = AssociativeMemory::new(4, dim);
-            let vectors: Vec<Hypervector> =
-                (0..12).map(|_| Hypervector::random(dim, &mut rng)).collect();
+            let vectors: Vec<PackedHypervector> =
+                (0..12).map(|_| PackedHypervector::random(dim, &mut rng)).collect();
             for (i, v) in vectors.iter().enumerate() {
                 am.add(i % 4, v).expect("add");
             }
@@ -166,9 +130,9 @@ proptest! {
                 am.finalize();
             }
 
-            let accs: Vec<_> =
-                (0..4).map(|c| am.accumulator(c).expect("acc").clone()).collect();
-            let full = AssociativeMemory::from_accumulators(accs).expect("rebuild");
+            let counters: Vec<_> =
+                (0..4).map(|c| am.counter(c).expect("counter").clone()).collect();
+            let full = AssociativeMemory::from_counters(counters).expect("rebuild");
             for c in 0..4 {
                 prop_assert_eq!(
                     am.reference(c).expect("ref"),
@@ -180,21 +144,20 @@ proptest! {
     }
 }
 
-/// Save → load → continue training: the reloaded dense model must track
-/// the never-saved one bit-exactly through further partial fits, and the
-/// same for the binarized model.
+/// Save → load → continue training: the reloaded model must track the
+/// never-saved one bit-exactly through further partial fits, counters
+/// included.
 #[test]
 fn save_load_continue_training_round_trip() {
     for dim in [63usize, 64, 65, 127, 2_000] {
         let base = examples(0xf11e, 6, 3);
         let update = examples(0xf11e ^ 1, 5, 3);
 
-        // Dense.
         let mut original = HdcClassifier::new(encoder(dim, 2), 3);
         original.train_batch(base.iter().map(|(i, l)| (&i[..], *l))).unwrap();
         let mut buf = Vec::new();
         save_pixel_classifier(&original, &mut buf).unwrap();
-        let mut reloaded = load_pixel_classifier(&buf[..]).unwrap();
+        let mut reloaded = load_any(&buf[..]).unwrap();
         for (img, label) in &update {
             original.partial_fit(&img[..], *label).unwrap();
             reloaded.partial_fit(&img[..], *label).unwrap();
@@ -203,34 +166,12 @@ fn save_load_continue_training_round_trip() {
             assert_eq!(
                 original.associative_memory().reference(c).unwrap(),
                 reloaded.associative_memory().reference(c).unwrap(),
-                "dense dim {dim} class {c}"
+                "dim {dim} class {c}"
             );
             assert_eq!(
-                original.associative_memory().accumulator(c).unwrap(),
-                reloaded.associative_memory().accumulator(c).unwrap(),
-                "dense dim {dim} class {c} accumulators"
-            );
-        }
-
-        // Binary.
-        let mut original = BinaryClassifier::new(encoder(dim, 3), 3);
-        for (img, label) in &base {
-            original.train_one(&img[..], *label).unwrap();
-        }
-        original.finalize();
-        let mut buf = Vec::new();
-        save_binary_classifier(&original, &mut buf).unwrap();
-        let mut reloaded = load_binary_classifier(&buf[..]).unwrap();
-        let applied = original.partial_fit_batch(update.iter().map(|(i, l)| (&i[..], *l))).unwrap();
-        assert_eq!(
-            applied,
-            reloaded.partial_fit_batch(update.iter().map(|(i, l)| (&i[..], *l))).unwrap()
-        );
-        for c in 0..3 {
-            assert_eq!(
-                original.reference(c).unwrap(),
-                reloaded.reference(c).unwrap(),
-                "binary dim {dim} class {c}"
+                original.counter(c).unwrap(),
+                reloaded.counter(c).unwrap(),
+                "dim {dim} class {c} counters"
             );
         }
     }

@@ -39,16 +39,6 @@ proptest! {
     }
 
     #[test]
-    fn weighted_add_equals_repeats(seed in any::<u64>(), w in 1i32..6) {
-        let x = hv(128, seed);
-        let mut weighted = Accumulator::zeros(128);
-        weighted.add_weighted(&x, w).unwrap();
-        let mut repeated = Accumulator::zeros(128);
-        for _ in 0..w { repeated.add(&x).unwrap(); }
-        prop_assert_eq!(weighted, repeated);
-    }
-
-    #[test]
     fn bind_preserves_distance_structure(seed in any::<u64>()) {
         // Binding by a common key is an isometry: cos(a⊛k, b⊛k) = cos(a, b).
         let a = hv(512, seed);

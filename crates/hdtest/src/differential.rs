@@ -3,12 +3,11 @@
 //! The paper's oracle is *self*-differential: one model's prediction on
 //! the original input vs its prediction on the mutant. This module
 //! generalizes to the classic two-implementation differential oracle
-//! (McKeeman 1998, the paper's reference \[13\]): two HDC implementations —
-//! e.g. the dense bipolar classifier and the binarized hardware-style
-//! classifier, or two dimensions of the same architecture — are driven
-//! with the same mutated inputs, and any *disagreement between the models*
-//! is a discrepancy worth a bug report, even when neither prediction flips
-//! relative to the original.
+//! (McKeeman 1998, the paper's reference \[13\]): two HDC models of
+//! different configurations — e.g. two dimensions or two encoder seeds of
+//! the same architecture — are driven with the same mutated inputs, and
+//! any *disagreement between the models* is a discrepancy worth a bug
+//! report, even when neither prediction flips relative to the original.
 
 use crate::constraint::Constraint;
 use crate::error::HdtestError;
@@ -158,7 +157,6 @@ mod tests {
     use super::*;
     use crate::constraint::NoConstraint;
     use crate::mutation::GaussNoise;
-    use hdc::binary::BinaryClassifier;
     use hdc::prelude::*;
     use hdc_data::GrayImage;
 
@@ -174,7 +172,7 @@ mod tests {
         .expect("valid config")
     }
 
-    fn train_dense(dim: usize) -> HdcClassifier<PixelEncoder> {
+    fn train(dim: usize) -> HdcClassifier<PixelEncoder> {
         let mut m = HdcClassifier::new(encoder(dim), 2);
         for v in [0u8, 20, 40] {
             m.train_one(&[v; 64][..], 0).unwrap();
@@ -186,22 +184,10 @@ mod tests {
         m
     }
 
-    fn train_binary(dim: usize) -> BinaryClassifier<PixelEncoder> {
-        let mut m = BinaryClassifier::new(encoder(dim), 2);
-        for v in [0u8, 20, 40] {
-            m.train_one(&[v; 64][..], 0).unwrap();
-        }
-        for v in [180u8, 210, 240] {
-            m.train_one(&[v; 64][..], 1).unwrap();
-        }
-        m.finalize();
-        m
-    }
-
     #[test]
-    fn dense_pair_with_different_dims_disagrees_under_fuzzing() {
-        let big = train_dense(4_000);
-        let small = train_dense(500);
+    fn models_with_different_dims_disagree_under_fuzzing() {
+        let big = train(4_000);
+        let small = train(500);
         let strategy = GaussNoise::default();
         let outcome = fuzz_cross_model(
             &big,
@@ -217,74 +203,24 @@ mod tests {
     }
 
     #[test]
-    fn dense_vs_binary_same_config_are_equivalent() {
-        // Majority-binarized bundling equals bipolarized sum bundling, and
-        // Hamming distance is an affine function of cosine for bipolar
-        // vectors — so the dense and binarized classifiers with identical
-        // encoder/data are the *same function*. Cross-model fuzzing must
-        // therefore exhaust without a discrepancy; quantization bugs only
-        // appear across genuinely different configurations (see the
-        // dimension test above and `exp_differential`).
-        let dense = train_dense(2_000);
-        let binary = train_binary(2_000);
-        let strategy = GaussNoise::default();
-        for seed in 0..4 {
-            let outcome = fuzz_cross_model(
-                &dense,
-                &binary,
-                &strategy,
-                &NoConstraint,
-                CrossModelConfig { max_iterations: 8, ..Default::default() },
-                &GrayImage::from_pixels(8, 8, vec![(30 + seed * 10) as u8; 64]),
-                seed,
-            )
-            .unwrap();
-            assert!(
-                !outcome.disagreed(),
-                "mathematically equivalent models disagreed: {outcome:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn dense_vs_binary_different_dims_disagree() {
-        let dense = train_dense(4_000);
-        let binary = train_binary(500);
-        let strategy = GaussNoise::default();
-        let mut found = 0;
-        for seed in 0..6 {
-            let outcome = fuzz_cross_model(
-                &dense,
-                &binary,
-                &strategy,
-                &NoConstraint,
-                CrossModelConfig { max_iterations: 40, ..Default::default() },
-                &GrayImage::from_pixels(8, 8, vec![(30 + seed * 10) as u8; 64]),
-                seed,
-            )
-            .unwrap();
-            if outcome.disagreed() {
-                found += 1;
-            }
-        }
-        assert!(found > 0, "4k-dim dense vs 500-dim binarized never disagreed");
-    }
-
-    #[test]
     fn any_model_pair_fuzzes_through_the_unified_trait() {
-        // The serving-layer type itself is a differential target: wrap a
-        // dense and a binarized classifier in `AnyModel` and drive them
-        // through the same `fuzz_cross_model` loop the concrete types use
+        // The serving-layer type itself is a differential target: models
+        // reloaded as `AnyModel` drive the same `fuzz_cross_model` loop
         // (the blanket `TargetModel for M: Model` impl). Different
         // dimensions must still surface quantization discrepancies.
-        let dense = hdc::AnyModel::from(train_dense(4_000));
-        let binary = hdc::AnyModel::from(train_binary(500));
+        let reload = |model: HdcClassifier<PixelEncoder>| {
+            let mut saved = Vec::new();
+            model.save(&mut saved).unwrap();
+            hdc::io::load_any(&saved[..]).unwrap()
+        };
+        let big = reload(train(4_000));
+        let small = reload(train(500));
         let strategy = GaussNoise::default();
         let mut found = 0;
         for seed in 0..6 {
             let outcome = fuzz_cross_model(
-                &dense,
-                &binary,
+                &big,
+                &small,
                 &strategy,
                 &NoConstraint,
                 CrossModelConfig { max_iterations: 40, ..Default::default() },
@@ -296,12 +232,12 @@ mod tests {
                 found += 1;
             }
         }
-        assert!(found > 0, "AnyModel dense-vs-binary never disagreed through the unified trait");
+        assert!(found > 0, "4k-dim vs 500-dim AnyModel never disagreed through the trait");
     }
 
     #[test]
     fn identical_models_never_disagree() {
-        let m = train_dense(1_000);
+        let m = train(1_000);
         let strategy = GaussNoise::default();
         let outcome = fuzz_cross_model(
             &m,
@@ -318,7 +254,7 @@ mod tests {
 
     #[test]
     fn degenerate_config_rejected() {
-        let m = train_dense(500);
+        let m = train(500);
         let strategy = GaussNoise::default();
         let bad = CrossModelConfig { max_iterations: 0, ..Default::default() };
         assert!(fuzz_cross_model(&m, &m, &strategy, &NoConstraint, bad, &GrayImage::new(8, 8), 0)
@@ -327,8 +263,8 @@ mod tests {
 
     #[test]
     fn deterministic_for_seed() {
-        let big = train_dense(2_000);
-        let small = train_dense(500);
+        let big = train(2_000);
+        let small = train(500);
         let strategy = GaussNoise::default();
         let run = || {
             fuzz_cross_model(

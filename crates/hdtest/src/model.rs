@@ -6,13 +6,13 @@
 //! exposing this interface can be fuzzed; the paper's §V-E argues this is
 //! what lets HDTest extend to other HDC model structures.
 //!
-//! The library side of that claim is `hdc`'s [`Model`] trait: every
-//! classifier kind (dense [`hdc::HdcClassifier`], binarized
-//! [`hdc::BinaryClassifier`], the serving layer's [`hdc::AnyModel`])
-//! implements it, and the **blanket impl** below lifts all of them into
-//! [`TargetModel`] at once. Campaigns, the per-input fuzzer, minimization
-//! and the cross-model differential oracle therefore run over any model
-//! kind — current or future — without per-type glue.
+//! The library side of that claim is `hdc`'s [`Model`] trait:
+//! [`hdc::HdcClassifier`] over any encoder (the serving layer's
+//! [`hdc::AnyModel`] included) implements it, and the **blanket impl**
+//! below lifts every implementation into [`TargetModel`] at once.
+//! Campaigns, the per-input fuzzer, minimization and the cross-model
+//! differential oracle therefore run over any model — current or future —
+//! without per-type glue.
 
 use crate::error::HdtestError;
 use hdc::kernel::BitCounter;
@@ -39,9 +39,7 @@ pub trait TargetModel: Sync {
     fn predict(&self, input: &Self::Input) -> Result<usize, HdtestError>;
 
     /// The fuzzer's guidance signal:
-    /// `1 − cosine(AM[reference], encode(input))` (§IV) for dense models,
-    /// normalized Hamming distance for binarized ones (affinely related
-    /// for bipolar vectors — both are monotone in drift).
+    /// `1 − cosine(AM[reference], encode(input))` (§IV), monotone in drift.
     ///
     /// # Errors
     ///
@@ -63,7 +61,7 @@ pub trait TargetModel: Sync {
 
     /// Evaluates one whole candidate batch (Alg. 1 evaluates `batch_size`
     /// candidates per fuzzing round). The default loops
-    /// [`evaluate`](Self::evaluate); dense `hdc` models override it with
+    /// [`evaluate`](Self::evaluate); `hdc` models override it with
     /// the word-packed batch kernel, which shares the packed class
     /// references and one similarity scratch buffer across the batch.
     ///
@@ -123,16 +121,15 @@ pub trait TargetModel: Sync {
     }
 
     /// One-time preparation before a fuzzing campaign fans out to worker
-    /// threads (e.g. forcing packed reference mirrors so workers never
+    /// threads (e.g. forcing item-memory packed mirrors so workers never
     /// race to build them). The default does nothing.
     fn warm_up(&self) {}
 }
 
-/// The blanket lift: any classifier behind `hdc`'s polymorphic [`Model`]
-/// surface is a fuzzing target. Each method forwards to the model's own
-/// (kind-specific, packed) implementation, so a dense target keeps its
-/// one-pass `evaluate` and batch similarity scan and a binarized target
-/// keeps its Hamming-native signals.
+/// The blanket lift: any classifier behind `hdc`'s [`Model`] surface is a
+/// fuzzing target. Each method forwards to the model's own packed
+/// implementation, so a target keeps its one-pass `evaluate`, its batch
+/// similarity scan and its delta-encoded children.
 impl<M: Model> TargetModel for M {
     type Input = M::Input;
 
@@ -184,7 +181,6 @@ impl<M: Model> TargetModel for M {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc::binary::BinaryClassifier;
     use hdc::prelude::*;
 
     fn encoder() -> PixelEncoder {
@@ -225,27 +221,22 @@ mod tests {
     }
 
     #[test]
-    fn every_model_kind_is_a_target() {
-        // The blanket impl: dense, binary and AnyModel all fuzz through
-        // one bound without per-type glue.
+    fn every_model_is_a_target() {
+        // The blanket impl: a live classifier and a reloaded `AnyModel`
+        // fuzz through one bound without per-type glue.
         fn probe<M: TargetModel<Input = [u8]>>(target: &M) {
             assert_eq!(target.num_classes(), 2);
             assert_eq!(target.predict(&[0u8; 9]).unwrap(), 0);
             let (class, fitness) = target.evaluate(&[0u8; 9], 0).unwrap();
             assert_eq!(class, 0);
-            let direct = target.fitness(&[0u8; 9], 0).unwrap();
-            assert!((fitness - direct).abs() < 1e-12);
+            assert_eq!(fitness, target.fitness(&[0u8; 9], 0).unwrap());
         }
 
         probe(&model());
-
-        let mut binary = BinaryClassifier::new(encoder(), 2);
-        binary.train_one(&[0u8; 9][..], 0).unwrap();
-        binary.train_one(&[250u8; 9][..], 1).unwrap();
-        binary.finalize();
-        probe(&binary);
-
-        probe(&AnyModel::from(model()));
+        let mut saved = Vec::new();
+        model().save(&mut saved).unwrap();
+        let reloaded: AnyModel = hdc::io::load_any(&saved[..]).unwrap();
+        probe(&reloaded);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! A tiny model keeps each case cheap; the point is randomized coverage of
 //! the loop's contract, not fuzzing quality.
 
-use hdc::binary::BinaryClassifier;
 use hdc::prelude::*;
 use hdc_data::{normalized_l2, GrayImage};
 use hdtest::mutation::Strategy as MutationStrategy;
@@ -31,17 +30,6 @@ const TRAINING: [([u8; 3], usize); 3] =
 
 fn tiny_model() -> HdcClassifier<PixelEncoder> {
     let mut model = HdcClassifier::new(tiny_encoder(), 3);
-    for (values, label) in TRAINING {
-        for v in values {
-            model.train_one(&[v; 36][..], label).expect("trains");
-        }
-    }
-    model.finalize();
-    model
-}
-
-fn tiny_binary_model() -> BinaryClassifier<PixelEncoder> {
-    let mut model = BinaryClassifier::new(tiny_encoder(), 3);
     for (values, label) in TRAINING {
         for v in values {
             model.train_one(&[v; 36][..], label).expect("trains");
@@ -205,20 +193,15 @@ proptest! {
     #[test]
     fn delta_encoded_fuzzing_matches_full_encoding(img in arb_image(), seed in any::<u64>()) {
         // The blanket impl encodes each child from its parent's bundle
-        // counter; the wrapper takes the full-encode defaults. Both model
-        // kinds must give identical results for every strategy (sparse
-        // rand and row/col lines on the delta path, shift and most dense
-        // gauss children on the fallback), both guidance modes, and with
-        // and without a budget.
-        let dense = tiny_model();
+        // counter; the wrapper takes the full-encode defaults. Both must
+        // give identical results for every strategy (sparse rand and
+        // row/col lines on the delta path, shift and most dense gauss
+        // children on the fallback), both guidance modes, and with and
+        // without a budget.
+        let model = tiny_model();
         prop_assert_eq!(
-            fuzz_everything(&dense, &img, seed),
-            fuzz_everything(&FullEncode(&dense), &img, seed)
-        );
-        let binary = tiny_binary_model();
-        prop_assert_eq!(
-            fuzz_everything(&binary, &img, seed),
-            fuzz_everything(&FullEncode(&binary), &img, seed)
+            fuzz_everything(&model, &img, seed),
+            fuzz_everything(&FullEncode(&model), &img, seed)
         );
     }
 

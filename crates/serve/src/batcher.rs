@@ -14,9 +14,7 @@
 //! within one linger interval.
 //!
 //! The model is an [`hdc::AnyModel`]: every job executes through the
-//! polymorphic [`Model`] surface, so a binarized classifier coalesces,
-//! trains and publishes through the byte-for-byte same code path as the
-//! dense one.
+//! [`Model`] surface.
 //!
 //! ## Online training through the coalescer
 //!
@@ -25,9 +23,9 @@
 //! [`Model::partial_fit_batch`] call on a private clone of the current
 //! snapshot, feedback jobs run their adaptive updates on the same clone,
 //! and the result is published atomically (swap + one version bump) via
-//! `SharedModel::publish`. Cloning is cheap by construction: both
-//! classifier kinds hold their encoder behind an `Arc`, so the clone
-//! copies counters and class vectors only. Predict jobs in the same drain
+//! `SharedModel::publish`. Cloning is cheap by construction: the
+//! classifier holds its encoder behind an `Arc`, so the clone copies
+//! counters and class vectors only. Predict jobs in the same drain
 //! run against the pre-update snapshot; requests that were concurrent
 //! have no ordering guarantee anyway. A failed coalesced train falls back
 //! to per-job `partial_fit_batch` calls (each atomic), so one request's
@@ -703,8 +701,8 @@ impl Batcher {
     /// # Errors
     ///
     /// Returns [`ServeError::Internal`] if the batcher is shutting down.
-    pub fn swap(&self, model: impl Into<AnyModel>) -> Result<u64, ServeError> {
-        self.swap_with_wal(model.into(), WalSwap::Detach)
+    pub fn swap(&self, model: AnyModel) -> Result<u64, ServeError> {
+        self.swap_with_wal(model, WalSwap::Detach)
     }
 
     /// [`swap`](Self::swap) with an explicit write-ahead-log disposition,
@@ -1064,7 +1062,7 @@ fn execute_updates(shared: &SharedModel, metrics: &Metrics, jobs: Vec<Job>) {
             for (input, _) in &coalesced {
                 maybe_inject_panic(input);
             }
-            trial.partial_fit_batch(&coalesced).map(|applied| (trial, applied))
+            Model::partial_fit_batch(&mut trial, &coalesced).map(|applied| (trial, applied))
         }));
         match fast_path {
             Ok(Ok((trial, applied))) => {
@@ -1090,7 +1088,8 @@ fn execute_updates(shared: &SharedModel, metrics: &Metrics, jobs: Vec<Job>) {
                         }
                         let per_job: Vec<(&[u8], usize)> =
                             examples.iter().map(|(i, l)| (&i[..], *l)).collect();
-                        trial.partial_fit_batch(&per_job).map(|applied| (trial, applied))
+                        Model::partial_fit_batch(&mut trial, &per_job)
+                            .map(|applied| (trial, applied))
                     }));
                     let result = match outcome {
                         Ok(Ok((trial, applied))) => {

@@ -62,11 +62,6 @@ fn main() -> ExitCode {
     );
     println!("SPEEDUP serve_predict {:.2}x", report.speedup());
     println!(
-        "binary model:  batch-size-1 {:>8.0} req/s   coalesced {:>8.0} req/s",
-        report.single_binary_rps, report.coalesced_binary_rps
-    );
-    println!("SPEEDUP serve_predict_binary {:.2}x", report.binary_speedup());
-    println!(
         "train batch-size-1: {:>8.0} req/s   coalesced: {:>8.0} req/s ({} examples, {} versions)",
         report.single_train_rps,
         report.coalesced_train_rps,

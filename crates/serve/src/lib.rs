@@ -22,11 +22,10 @@
 //!   against one snapshotted model, results reassembled in order, so
 //!   answers are byte-identical at any worker count while the batcher
 //!   thread stays the single writer.
-//! * [`registry`] — named [`hdc::AnyModel`] entries (**dense and
-//!   binarized classifiers serve through identical machinery**; the
-//!   kind is sniffed from the `HDC1`/`HDB1` file magic by
-//!   [`hdc::io::load_any`] and reported in `/v1/models`), hot-reloadable
-//!   while serving, packed mirrors pre-warmed on load. Each model lives
+//! * [`registry`] — named [`hdc::AnyModel`] entries (loaded by
+//!   [`hdc::io::load_any`] from `HDB1` files, or legacy `HDC1` files
+//!   converted on load), hot-reloadable while serving, packed mirrors
+//!   pre-warmed on load. Each model lives
 //!   behind a [`registry::SharedModel`] swap cell with a monotonic
 //!   training `version` that survives reloads, so **online learning**
 //!   (`/v1/train`, `/v1/feedback`) publishes updates atomically while
@@ -128,12 +127,11 @@
 //! trainable counters (not just the bipolarized references), and the
 //! version lineage continues across the reload.
 //!
-//! Everything above works identically for a **binarized** model: train
-//! one with `hdtest-cli train --kind binary`, serve it with
-//! `--models name=file.hdb` (the kind is auto-detected), and the same
+//! A model file written in the legacy `HDC1` sum format serves the same
+//! way: it is converted to counters on load, and the
 //! predict/train/feedback/snapshot/reload round trip applies —
 //! bit-exactly vs direct library calls, as pinned by
-//! `tests/binary_e2e.rs`. Add `--model-dir DIR` to jail reload/snapshot
+//! `tests/legacy_e2e.rs`. Add `--model-dir DIR` to jail reload/snapshot
 //! paths (escapes get 403).
 //!
 //! ## Embedding

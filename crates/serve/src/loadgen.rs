@@ -2,26 +2,22 @@
 //! sockets and reports req/s for a coalescing configuration vs the
 //! batch-size-1 baseline.
 //!
-//! Identically trained servers are started (one per [`BatchConfig`] per
-//! model kind); each is loaded by `clients` threads holding persistent
-//! keep-alive connections and firing single-input predicts back to back,
-//! then — on the dense servers — single-example `/v1/train` requests (the
-//! online-learning hot path: coalesced `partial_fit_batch`, one clone +
-//! publish per executed batch). A **binarized** model runs the same
-//! predict phases through the identical serving machinery, proving the
-//! kind-generic path holds throughput. The report feeds
-//! `BENCH_serve.json` (same schema as `BENCH_kernels.json`, gated by
-//! `scripts/check_bench_json.py`): coalesced predict *and* train
-//! throughput must stay at least at parity with batch-size-1 — for both
-//! kinds — and the mean executed batch size must prove that coalescing
-//! actually happened.
+//! Identically trained servers are started (one per [`BatchConfig`]);
+//! each is loaded by `clients` threads holding persistent keep-alive
+//! connections and firing single-input predicts back to back, then
+//! single-example `/v1/train` requests (the online-learning hot path:
+//! coalesced `partial_fit_batch`, one clone + publish per executed batch).
+//! The report feeds `BENCH_serve.json` (same schema as
+//! `BENCH_kernels.json`, gated by `scripts/check_bench_json.py`):
+//! coalesced predict *and* train throughput must stay at least at parity
+//! with batch-size-1, and the mean executed batch size must prove that
+//! coalescing actually happened.
 
 use crate::batcher::BatchConfig;
 use crate::client::Client;
 use crate::metrics::Metrics;
 use crate::registry::Registry;
 use crate::server::{Server, ServerConfig};
-use hdc::binary::BinaryClassifier;
 use hdc::memory::ValueEncoding;
 use hdc::prelude::*;
 use std::sync::Arc;
@@ -78,17 +74,13 @@ pub struct ScalePoint {
     pub rps: f64,
 }
 
-/// Results of one load run (both coalescing configurations, both kinds).
+/// Results of one load run (both coalescing configurations).
 #[derive(Debug, Clone)]
 pub struct LoadgenReport {
     /// Predict requests/second with coalescing enabled.
     pub coalesced_rps: f64,
     /// Predict requests/second with the batch-size-1 baseline.
     pub single_rps: f64,
-    /// Binary-model predict requests/second with coalescing enabled.
-    pub coalesced_binary_rps: f64,
-    /// Binary-model predict requests/second, batch-size-1 baseline.
-    pub single_binary_rps: f64,
     /// `/v1/train` requests/second with coalescing enabled.
     pub coalesced_train_rps: f64,
     /// `/v1/train` requests/second with the batch-size-1 baseline.
@@ -133,11 +125,6 @@ impl LoadgenReport {
     /// Coalesced over single throughput (>1 means coalescing won).
     pub fn speedup(&self) -> f64 {
         self.coalesced_rps / self.single_rps
-    }
-
-    /// Coalesced over single throughput for the binary-model side.
-    pub fn binary_speedup(&self) -> f64 {
-        self.coalesced_binary_rps / self.single_binary_rps
     }
 
     /// Coalesced over single throughput for the WAL-attached train side.
@@ -189,8 +176,6 @@ impl LoadgenReport {
             .collect();
         let single_ns = 1e9 / self.single_rps;
         let coalesced_ns = 1e9 / self.coalesced_rps;
-        let single_binary_ns = 1e9 / self.single_binary_rps;
-        let coalesced_binary_ns = 1e9 / self.coalesced_binary_rps;
         let single_train_ns = 1e9 / self.single_train_rps;
         let coalesced_train_ns = 1e9 / self.coalesced_train_rps;
         // The kernel dispatch tier changes every number below; record it so
@@ -203,9 +188,6 @@ impl LoadgenReport {
              \"packed_ns\": {:.1}, \"speedup\": {:.2}, \"note\": \"req latency budget, {} \
              clients, single={:.0} rps vs coalesced={:.0} rps, p99 {}us vs {}us, kernel \
              backend {kernel_backend}\"}},\n    \
-             \"serve_predict_binary\": {{\"scalar_ns\": {:.1}, \"packed_ns\": {:.1}, \
-             \"speedup\": {:.2}, \"note\": \"binarized model through the identical \
-             kind-generic path, {} clients, single={:.0} rps vs coalesced={:.0} rps\"}},\n    \
              \"serve_train\": {{\"scalar_ns\": {:.1}, \"packed_ns\": {:.1}, \"speedup\": {:.2}, \
              \"note\": \"online /v1/train, {} clients, single={:.0} rps vs coalesced={:.0} rps, \
              {} examples absorbed in {} published batches\"}},\n    \
@@ -230,12 +212,6 @@ impl LoadgenReport {
             self.coalesced_rps,
             self.single_p99_us,
             self.coalesced_p99_us,
-            single_binary_ns,
-            coalesced_binary_ns,
-            self.binary_speedup(),
-            self.config.clients,
-            self.single_binary_rps,
-            self.coalesced_binary_rps,
             single_train_ns,
             coalesced_train_ns,
             self.coalesced_train_rps / self.single_train_rps,
@@ -295,20 +271,9 @@ fn synthetic_examples(edge: usize) -> Vec<(Vec<u8>, usize)> {
     examples
 }
 
-/// Trains the dense synthetic model every load run serves.
+/// Trains the synthetic model every load run serves.
 pub fn synthetic_model(dim: usize, edge: usize) -> HdcClassifier<PixelEncoder> {
     let mut model = HdcClassifier::new(synthetic_encoder(dim, edge), edge.min(4));
-    for (img, class) in synthetic_examples(edge) {
-        model.train_one(&img[..], class).expect("train synthetic example");
-    }
-    model.finalize();
-    model
-}
-
-/// Trains the binarized twin of [`synthetic_model`] (same encoder config,
-/// same data) for the kind-generic serving measurement.
-pub fn synthetic_binary_model(dim: usize, edge: usize) -> BinaryClassifier<PixelEncoder> {
-    let mut model = BinaryClassifier::new(synthetic_encoder(dim, edge), edge.min(4));
     for (img, class) in synthetic_examples(edge) {
         model.train_one(&img[..], class).expect("train synthetic example");
     }
@@ -340,8 +305,8 @@ pub(crate) fn bar_image(img: &mut [u8], edge: usize, row: usize) -> usize {
     ((row % edge) * classes / edge).min(classes - 1)
 }
 
-/// Runs one measured side: starts a server with `batch` over `model`
-/// (either kind — the serving machinery is identical), saturates it with
+/// Runs one measured side: starts a server with `batch` over `model`,
+/// saturates it with
 /// `per_client` predicts per client, then — when `train_phase` — with
 /// single-example online trains. `trace_enabled` toggles per-request
 /// tracing; comparing a `true` side against a `false` one is the
@@ -349,7 +314,7 @@ pub(crate) fn bar_image(img: &mut [u8], edge: usize, row: usize) -> usize {
 fn run_side(
     config: &LoadgenConfig,
     batch: BatchConfig,
-    model: impl Into<hdc::AnyModel>,
+    model: hdc::AnyModel,
     per_client: usize,
     train_phase: bool,
     trace_enabled: bool,
@@ -584,13 +549,6 @@ impl LoadgenConfig {
         (self.requests_per_client / 4).max(8)
     }
 
-    /// Binary-side predict requests per client: half the dense load — the
-    /// two binary sides are only compared with each other, so halving
-    /// both keeps the wall clock bounded without skewing the ratio.
-    fn binary_requests_per_client(&self) -> usize {
-        (self.requests_per_client / 2).max(20)
-    }
-
     /// Scaling-sweep requests per client: each request already carries
     /// [`SCALE_BATCH`] inputs, so an eighth of the single-input load keeps
     /// the total input volume comparable per swept worker count.
@@ -599,7 +557,7 @@ impl LoadgenConfig {
     }
 }
 
-/// Runs all sides (dense + binary, coalesced + batch-size-1) and
+/// Runs all sides (coalesced + batch-size-1, tracing, WAL, scaling) and
 /// assembles the report.
 pub fn run(config: &LoadgenConfig) -> LoadgenReport {
     let per_client = config.requests_per_client;
@@ -618,25 +576,6 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
         synthetic_model(config.dim, config.edge),
         per_client,
         true,
-        true,
-    );
-
-    // The binarized twin through the identical kind-generic serving path.
-    let binary_per_client = config.binary_requests_per_client();
-    let single_binary = run_side(
-        config,
-        BatchConfig::batch_size_1(),
-        synthetic_binary_model(config.dim, config.edge),
-        binary_per_client,
-        false,
-        true,
-    );
-    let coalesced_binary = run_side(
-        config,
-        config.coalesce,
-        synthetic_binary_model(config.dim, config.edge),
-        binary_per_client,
-        false,
         true,
     );
 
@@ -666,7 +605,7 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
     // the file path.
     let wal_dir = wal_scratch_dir();
     let wal_per_client = config.train_requests_per_client();
-    let wal_model: hdc::AnyModel = synthetic_model(config.dim, config.edge).into();
+    let wal_model = synthetic_model(config.dim, config.edge);
     for name in ["single.hdc", "coalesced.hdc"] {
         let file = std::fs::File::create(wal_dir.join(name)).expect("create WAL-side model file");
         wal_model.save(std::io::BufWriter::new(file)).expect("save WAL-side model");
@@ -692,10 +631,8 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
     LoadgenReport {
         coalesced_rps: coalesced.rps,
         single_rps: single.rps,
-        coalesced_binary_rps: coalesced_binary.rps,
-        single_binary_rps: single_binary.rps,
-        coalesced_train_rps: coalesced.train_rps.expect("dense side ran the train phase"),
-        single_train_rps: single.train_rps.expect("dense side ran the train phase"),
+        coalesced_train_rps: coalesced.train_rps.expect("coalesced side ran the train phase"),
+        single_train_rps: single.train_rps.expect("single side ran the train phase"),
         coalesced_wal_train_rps,
         single_wal_train_rps,
         wal_appends,
@@ -732,7 +669,6 @@ mod tests {
         let report = run(&config);
         assert_eq!(report.requests, 160);
         assert!(report.single_rps > 0.0 && report.coalesced_rps > 0.0);
-        assert!(report.single_binary_rps > 0.0 && report.coalesced_binary_rps > 0.0);
         assert!(report.single_train_rps > 0.0 && report.coalesced_train_rps > 0.0);
         assert!(report.single_wal_train_rps > 0.0 && report.coalesced_wal_train_rps > 0.0);
         assert!(report.wal_appends > 0, "the WAL side must have appended");
@@ -746,7 +682,6 @@ mod tests {
         let json = report.to_bench_json(true);
         assert!(json.contains("\"suite\": \"serve\""), "{json}");
         assert!(json.contains("serve_predict"), "{json}");
-        assert!(json.contains("serve_predict_binary"), "{json}");
         assert!(json.contains("serve_train"), "{json}");
         assert!(json.contains("serve_wal_append"), "{json}");
         assert!(json.contains("serve_trace_overhead"), "{json}");
@@ -761,17 +696,14 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_twins_share_geometry_and_serve_predictions() {
-        // The twins exist to load the serving path, not to be accurate —
+    fn synthetic_model_serves_in_range_predictions() {
+        // The model exists to load the serving path, not to be accurate —
         // the bar dataset deliberately shares rows between adjacent
-        // classes. Both kinds must build from the same config/data and
-        // answer every training input with an in-range prediction.
-        let dense = synthetic_model(1_024, 4);
-        let binary = synthetic_binary_model(1_024, 4);
-        assert_eq!(dense.encoder().config(), binary.encoder().config());
+        // classes. It must answer every training input with an in-range
+        // prediction.
+        let model = synthetic_model(1_024, 4);
         for (img, _class) in synthetic_examples(4) {
-            assert!(dense.predict(&img[..]).unwrap().class < 4);
-            assert!(binary.predict(&img[..]).unwrap().class < 4);
+            assert!(model.predict(&img[..]).unwrap().class < 4);
         }
     }
 }

@@ -1,11 +1,9 @@
 //! The model registry: named models behind one process.
 //!
-//! Entries hold [`hdc::AnyModel`], so a **dense and a binarized classifier
-//! serve through identical machinery** — models load through
-//! [`hdc::io::load_any`] (one call that sniffs the `HDC1`/`HDB1` magic),
-//! get their packed mirrors pre-warmed so the first request doesn't pay
+//! Entries hold [`hdc::AnyModel`] — models load through
+//! [`hdc::io::load_any`] (which reads `HDB1` and legacy `HDC1` files), get
+//! their item-memory mirrors pre-warmed so the first request doesn't pay
 //! lazy-pack cost, and each name gets its own coalescing [`Batcher`].
-//! `/v1/models` reports each entry's `kind`.
 //!
 //! ## Online training
 //!
@@ -13,8 +11,8 @@
 //! swapped atomically by the entry's batcher worker when a coalesced
 //! training batch lands (`partial_fit_batch` on a private clone, then
 //! publish). Readers — predict handlers, explicit batch predicts — take
-//! the current snapshot and never block on training compute. Because both
-//! classifier kinds share their encoder behind an `Arc`, the private clone
+//! the current snapshot and never block on training compute. Because the
+//! classifier shares its encoder behind an `Arc`, the private clone
 //! copies **only counters and class vectors** — item memories are never
 //! duplicated on the publish path (`Arc::ptr_eq` across versions, pinned
 //! by this module's tests). Every published training batch bumps the
@@ -59,7 +57,6 @@
 //!
 //! let entry = registry.get("default")?;
 //! assert_eq!(entry.version(), 0); // no training batches yet
-//! assert_eq!(entry.info().kind, hdc::ModelKind::Dense);
 //!
 //! // Online update: one labeled example through the coalescer.
 //! let outcome = entry.batcher().train(vec![(vec![224u8; 16], 1)])?;
@@ -78,7 +75,7 @@ use crate::replica::ReplicaState;
 use crate::trace::{self, TraceRecord};
 use crate::wal::{self, DeltaRing, Wal};
 use hdc::io::load_any;
-use hdc::{AnyModel, Model, ModelKind};
+use hdc::{AnyModel, Model};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::BufReader;
@@ -91,8 +88,6 @@ use std::sync::{Arc, Mutex, RwLock};
 pub struct ModelInfo {
     /// Registry name.
     pub name: String,
-    /// Implementation family (`dense` / `binary`).
-    pub kind: ModelKind,
     /// Hypervector dimension.
     pub dim: usize,
     /// Number of classes.
@@ -113,7 +108,6 @@ impl ModelInfo {
     pub fn render(&self) -> Json {
         Json::obj([
             ("name", Json::from(self.name.as_str())),
-            ("kind", Json::from(self.kind.as_str())),
             ("dim", Json::from(self.dim)),
             ("classes", Json::from(self.classes)),
             ("width", Json::from(self.width)),
@@ -175,10 +169,10 @@ impl SharedModel {
         }
     }
 
-    /// Wraps a finalized model of either kind for direct [`Batcher`] use
-    /// without a [`Registry`] (embedding, tests). Version starts at 0.
-    pub fn standalone(model: impl Into<AnyModel>) -> Self {
-        Self::new(Arc::new(model.into()))
+    /// Wraps a finalized model for direct [`Batcher`] use without a
+    /// [`Registry`] (embedding, tests). Version starts at 0.
+    pub fn standalone(model: AnyModel) -> Self {
+        Self::new(Arc::new(model))
     }
 
     /// The current model snapshot. Cheap (one `Arc` clone under a read
@@ -586,13 +580,12 @@ impl Registry {
         if !model.is_finalized() {
             return Err(ServeError::Internal(format!("model '{name}' is not finalized")));
         }
-        // Pre-warm packed mirrors (class references and item memories) so
-        // concurrent first requests don't race to build them lazily.
+        // Pre-warm the item memories' packed mirrors so concurrent first
+        // requests don't race to build them lazily.
         model.warm_up();
         let config = model.config();
         let mut info = ModelInfo {
             name: name.to_owned(),
-            kind: model.kind(),
             dim: config.dim,
             classes: Model::num_classes(&model),
             width: config.width,
@@ -709,18 +702,13 @@ impl Registry {
         }
     }
 
-    /// Registers an in-memory model of either kind (tests, load
-    /// generator).
+    /// Registers an in-memory model (tests, load generator).
     ///
     /// # Errors
     ///
     /// Rejects unfinalized models.
-    pub fn insert_model(
-        &self,
-        name: &str,
-        model: impl Into<AnyModel>,
-    ) -> Result<ModelInfo, ServeError> {
-        self.install(name, model.into(), None, WalAttach::Detach)
+    pub fn insert_model(&self, name: &str, model: AnyModel) -> Result<ModelInfo, ServeError> {
+        self.install(name, model, None, WalAttach::Detach)
     }
 
     /// Installs a model bootstrapped from a leader snapshot, seeding the
@@ -740,8 +728,8 @@ impl Registry {
         self.install(name, model, None, WalAttach::Seed { version, examples: trained_examples })
     }
 
-    /// Loads (or hot-reloads) `name` from a model file of either kind
-    /// (the `HDC1`/`HDB1` magic is sniffed). On any failure the
+    /// Loads (or hot-reloads) `name` from a model file (`HDB1`, or legacy
+    /// `HDC1`; the magic is sniffed). On any failure the
     /// previously registered model, if one exists, keeps serving.
     ///
     /// A **first** load is crash recovery: the file's version trailer is
@@ -857,7 +845,7 @@ impl Registry {
     }
 
     /// Persists the current counter state of `name` to `path`
-    /// **atomically**: the model is serialized in its kind's format to a
+    /// **atomically**: the model is serialized as `HDB1` to a
     /// temporary file in the target directory and renamed over `path`, so
     /// a concurrent `/v1/reload` (or a crash mid-write) can never observe
     /// a torn model file. Returns the persisted training version.
@@ -1007,23 +995,6 @@ mod tests {
         model
     }
 
-    fn trained_binary(seed: u64) -> BinaryClassifier<PixelEncoder> {
-        let encoder = PixelEncoder::new(PixelEncoderConfig {
-            dim: 512,
-            width: 4,
-            height: 4,
-            levels: 8,
-            value_encoding: ValueEncoding::Random,
-            seed,
-        })
-        .unwrap();
-        let mut model = BinaryClassifier::new(encoder, 2);
-        model.train_one(&[0u8; 16][..], 0).unwrap();
-        model.train_one(&[224u8; 16][..], 1).unwrap();
-        model.finalize();
-        model
-    }
-
     fn registry() -> Registry {
         Registry::new(Arc::new(Metrics::new()), BatchConfig::default())
     }
@@ -1041,27 +1012,11 @@ mod tests {
         let info = r.insert_model("default", trained(5)).unwrap();
         assert_eq!(info.generation, 1);
         assert_eq!(info.dim, 512);
-        assert_eq!(info.kind, ModelKind::Dense);
         assert_eq!((info.width, info.height, info.classes), (4, 4, 2));
         let entry = r.get("default").unwrap();
         assert_eq!(entry.info().name, "default");
         assert_eq!(r.entries().len(), 1);
         assert!(matches!(r.get("nope"), Err(ServeError::NotFound(_))));
-    }
-
-    #[test]
-    fn binary_models_register_and_serve() {
-        let r = registry();
-        let info = r.insert_model("bin", trained_binary(5)).unwrap();
-        assert_eq!(info.kind, ModelKind::Binary);
-        let entry = r.get("bin").unwrap();
-        let rendered = entry.render_info().render();
-        assert!(rendered.contains("\"kind\":\"binary\""), "{rendered}");
-        // Predict + train flow through the identical machinery.
-        let prediction = entry.batcher().predict(vec![224u8; 16]).unwrap();
-        assert_eq!(prediction.class, 1);
-        let outcome = entry.batcher().train(vec![(vec![224u8; 16], 1)]).unwrap();
-        assert_eq!((outcome.applied, outcome.version), (1, 1));
     }
 
     #[test]
@@ -1111,28 +1066,27 @@ mod tests {
     }
 
     #[test]
-    fn reload_can_change_the_model_kind() {
-        let dir = temp_dir("kindswap");
-        let dense_path = dir.join("dense.hdc");
-        let binary_path = dir.join("binary.hdc");
+    fn reload_accepts_a_legacy_hdc1_file() {
+        let dir = temp_dir("legacy");
+        let current = dir.join("current.hdc");
+        let legacy = dir.join("legacy.hdc");
         save_pixel_classifier(
             &trained(5),
-            std::io::BufWriter::new(File::create(&dense_path).unwrap()),
+            std::io::BufWriter::new(File::create(&current).unwrap()),
         )
         .unwrap();
-        hdc::io::save_binary_classifier(
-            &trained_binary(5),
-            std::io::BufWriter::new(File::create(&binary_path).unwrap()),
-        )
-        .unwrap();
+        let fixture = include_bytes!("../../hdc/tests/fixtures/legacy_hdc1.bin");
+        std::fs::write(&legacy, fixture).unwrap();
 
         let r = registry();
-        assert_eq!(r.load("m", &dense_path).unwrap().kind, ModelKind::Dense);
+        assert_eq!(r.load("m", &current).unwrap().dim, 512);
         let entry = r.get("m").unwrap();
-        assert_eq!(r.load("m", &binary_path).unwrap().kind, ModelKind::Binary);
-        // Same entry, new kind, still serving.
-        assert_eq!(entry.info().kind, ModelKind::Binary);
-        assert_eq!(entry.batcher().predict(vec![224u8; 16]).unwrap().class, 1);
+        // Same entry, swapped to the converted legacy model, still serving
+        // its predictions.
+        assert_eq!(r.load("m", &legacy).unwrap().dim, 64);
+        assert_eq!(entry.info().dim, 64);
+        let expected = hdc::io::load_any(&fixture[..]).unwrap().predict(&[0u8; 16][..]).unwrap();
+        assert_eq!(entry.batcher().predict(vec![0u8; 16]).unwrap().class, expected.class);
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1290,15 +1244,6 @@ mod tests {
             Arc::ptr_eq(v0.encoder_arc(), v3.encoder_arc()),
             "published clones must share the encoder allocation"
         );
-
-        // Same invariant for the binary kind.
-        r.insert_model("bin", trained_binary(6)).unwrap();
-        let entry = r.get("bin").unwrap();
-        let b0 = entry.model();
-        entry.batcher().train(vec![(vec![128u8; 16], 0)]).unwrap();
-        let b1 = entry.model();
-        assert!(!Arc::ptr_eq(&b0, &b1));
-        assert!(Arc::ptr_eq(b0.encoder_arc(), b1.encoder_arc()));
     }
 
     #[test]
@@ -1370,16 +1315,11 @@ mod tests {
     }
 
     /// Asserts two registries' models carry bit-identical per-class
-    /// counters (the dense kind used by these tests).
+    /// counters.
     fn assert_counters_equal(a: &ModelEntry, b: &ModelEntry) {
         let (a, b) = (a.model(), b.model());
-        let (a, b) = (a.as_dense().unwrap(), b.as_dense().unwrap());
         for c in 0..2 {
-            assert_eq!(
-                a.associative_memory().accumulator(c).unwrap(),
-                b.associative_memory().accumulator(c).unwrap(),
-                "class {c} counters diverged"
-            );
+            assert_eq!(a.counter(c).unwrap(), b.counter(c).unwrap(), "class {c} counters diverged");
         }
     }
 

@@ -908,7 +908,7 @@ fn predict_bodies(client: &mut Client, edge: usize, probes: usize) -> io::Result
 /// to the control, and never move its version lineage backwards.
 fn crash_recovery_probe(ctx: Ctx<'_>, exe: &Path, scratch: &Path) {
     let edge = ctx.config.edge;
-    let model: hdc::AnyModel = synthetic_model(ctx.config.dim.min(1_024), edge).into();
+    let model = synthetic_model(ctx.config.dim.min(1_024), edge);
     let victim_path = scratch.join("crash-victim.hdc");
     let control_path = scratch.join("crash-control.hdc");
     for path in [&victim_path, &control_path] {
@@ -1066,7 +1066,7 @@ fn wait_follower_applied(addr: SocketAddr, version: u64, patience: Duration) -> 
 /// (dead) leader.
 fn failover_probe(ctx: Ctx<'_>, exe: &Path, scratch: &Path) {
     let edge = ctx.config.edge;
-    let model: hdc::AnyModel = synthetic_model(ctx.config.dim.min(1_024), edge).into();
+    let model = synthetic_model(ctx.config.dim.min(1_024), edge);
     let leader_path = scratch.join("failover-leader.hdc");
     let saved = std::fs::File::create(&leader_path)
         .and_then(|f| model.save(io::BufWriter::new(f)).map_err(io::Error::other));

@@ -368,8 +368,11 @@ mod tests {
                     }
                 });
             }
+            // Keep reading until the writers have wrapped the ring, so the
+            // reader cannot finish before they get scheduled.
             let ring = &ring;
-            for _ in 0..2_000 {
+            let mut snapshots = 0;
+            while snapshots < 2_000 || ring.pushed() <= 8 {
                 for record in ring.snapshot() {
                     assert_eq!(
                         record.id,
@@ -377,6 +380,7 @@ mod tests {
                         "torn record observed: {record:?}"
                     );
                 }
+                snapshots += 1;
             }
             stop.store(true, Relaxed);
         });

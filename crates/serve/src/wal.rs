@@ -63,7 +63,7 @@ const MAX_OP_INPUT: u32 = 1 << 26;
 pub const VERSION_TRAILER_MAGIC: [u8; 4] = *b"HDVS";
 
 /// Set-bit counters are rescaled (sign-preserving halving, see
-/// [`hdc::binary::BinaryClassifier::rescale_counters`]) once any class
+/// [`hdc::HdcClassifier::rescale_counters`]) once any class
 /// bundle reaches this size, long before the persisted `u32` counts
 /// could saturate at ~4×10⁹. The check runs deterministically at every
 /// publish *and* on every replayed record, so recovery reproduces the
@@ -259,7 +259,7 @@ pub fn apply(record: &DeltaRecord, model: &mut AnyModel) -> Result<u64, HdcError
         .collect();
     let mut applied = 0u64;
     if !trains.is_empty() {
-        applied += model.partial_fit_batch(&trains)? as u64;
+        applied += Model::partial_fit_batch(model, &trains)? as u64;
     }
     for op in &record.ops {
         if let DeltaOp::Feedback { input, label } = op {
@@ -276,10 +276,7 @@ pub fn apply(record: &DeltaRecord, model: &mut AnyModel) -> Result<u64, HdcError
 /// recovery and the uncrashed process make identical rescale decisions.
 /// Returns whether a rescale fired.
 pub fn maybe_rescale(model: &mut AnyModel) -> bool {
-    match model.as_binary_mut() {
-        Some(binary) => binary.rescale_counters(RESCALE_LIMIT),
-        None => false,
-    }
+    model.rescale_counters(RESCALE_LIMIT)
 }
 
 /// Appends the version trailer a durable snapshot carries after its
@@ -793,6 +790,47 @@ mod tests {
             ],
             trace: None,
         }
+    }
+
+    #[test]
+    fn replay_rescales_a_converted_legacy_model_bit_identically() {
+        // The legacy `HDC1` fixture with its stored counts raised to the
+        // limit: conversion keeps them as the bundle sizes, so the rescale
+        // check after one replayed record fires — for a model that was
+        // written by the sum-based classifier — and predictions and
+        // references match an unrescaled twin that took the same update.
+        let mut bytes = include_bytes!("../../hdc/tests/fixtures/legacy_hdc1.bin").to_vec();
+        let class_bytes = 8 + 64 * 4;
+        for (class, count) in [RESCALE_LIMIT, RESCALE_LIMIT + 1].into_iter().enumerate() {
+            let offset = 4 + 48 + 8 + class * class_bytes;
+            bytes[offset..offset + 8].copy_from_slice(&count.to_le_bytes());
+        }
+        let mut model = hdc::io::load_any(&bytes[..]).unwrap();
+        assert_eq!(model.counter(0).unwrap().count() as u64, RESCALE_LIMIT);
+        let record = DeltaRecord {
+            version: 1,
+            ops: vec![DeltaOp::Train { input: vec![9u8; 16], label: 1 }],
+            trace: None,
+        };
+        let mut twin = model.clone();
+        Model::partial_fit_batch(&mut twin, &[(&[9u8; 16][..], 1)]).unwrap();
+
+        assert_eq!(apply(&record, &mut model).unwrap(), 1);
+        for class in 0..2 {
+            assert!(
+                (model.counter(class).unwrap().count() as u64) < RESCALE_LIMIT,
+                "class {class}"
+            );
+            assert_eq!(
+                model.associative_memory().reference(class).unwrap(),
+                twin.associative_memory().reference(class).unwrap(),
+                "class {class}: rescale changed the reference"
+            );
+        }
+        for v in [0u8, 60, 120, 180, 240] {
+            assert_eq!(model.predict(&[v; 16][..]).unwrap(), twin.predict(&[v; 16][..]).unwrap());
+        }
+        assert!(!maybe_rescale(&mut model), "rescaled counters are far below the limit");
     }
 
     #[test]

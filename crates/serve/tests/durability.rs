@@ -8,17 +8,21 @@
 //! final snapshots must be byte-identical: same counters, same version,
 //! same trained-example count.
 //!
+//! Every case runs twice: from a model file in the counter format
+//! (`HDB1`), and from the same model written in the legacy sum format
+//! (`HDC1`), which the first load converts and the first snapshot
+//! rewrites.
+//!
 //! Dims follow the workspace oracle convention — 63/64/65/127 straddle
-//! the packed 64-bit lane boundary (where the binarized counters'
-//! saturating/rescale arithmetic has its edge cases), and 10 000 is the
-//! paper-scale dimension.
+//! the packed 64-bit lane boundary (where the counters' complement and
+//! rescale arithmetic has its edge cases), and 10 000 is the paper-scale
+//! dimension.
 
-use hdc::binary::BinaryClassifier;
+mod common;
+
 use hdc::prelude::*;
-use hdc::AnyModel;
 use hdc_serve::{BatchConfig, Metrics, Registry};
 use std::fs;
-use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -44,22 +48,30 @@ fn encoder(dim: usize) -> PixelEncoder {
     .expect("valid durability encoder")
 }
 
-/// A lightly pre-trained model of either kind, so recovery starts from
-/// non-trivial counters.
-fn seeded_model(dim: usize, binary: bool) -> AnyModel {
-    if binary {
-        let mut model = BinaryClassifier::new(encoder(dim), CLASSES);
-        model.train_one(&[200u8; EDGE * EDGE][..], 0).unwrap();
-        model.train_one(&[40u8; EDGE * EDGE][..], 1).unwrap();
-        model.finalize();
-        model.into()
-    } else {
-        let mut model = HdcClassifier::new(encoder(dim), CLASSES);
-        model.train_one(&[200u8; EDGE * EDGE][..], 0).unwrap();
-        model.train_one(&[40u8; EDGE * EDGE][..], 1).unwrap();
-        model.finalize();
-        model.into()
+/// The file of a lightly pre-trained model, so recovery starts from
+/// non-trivial counters: `HDB1`, or the same model as legacy `HDC1`.
+fn seeded_model_file(dim: usize, legacy: bool) -> Vec<u8> {
+    let seeds = [[200u8; EDGE * EDGE], [40u8; EDGE * EDGE]];
+    let encoder = encoder(dim);
+    if legacy {
+        let classes: Vec<Accumulator> = seeds
+            .iter()
+            .map(|img| {
+                let mut acc = Accumulator::zeros(dim);
+                acc.add(&encoder.encode(&img[..]).unwrap()).unwrap();
+                acc
+            })
+            .collect();
+        return common::legacy_hdc1(encoder.config(), &classes);
     }
+    let mut model = HdcClassifier::new(encoder, CLASSES);
+    for (label, img) in seeds.iter().enumerate() {
+        model.train_one(&img[..], label).unwrap();
+    }
+    model.finalize();
+    let mut bytes = Vec::new();
+    model.save(&mut bytes).unwrap();
+    bytes
 }
 
 fn registry() -> Arc<Registry> {
@@ -89,13 +101,13 @@ fn apply_ops(registry: &Registry, range: std::ops::Range<usize>) {
     }
 }
 
-fn run_property(dim: usize, binary: bool, dir: &Path) {
-    let kind = if binary { "binary" } else { "dense" };
+fn run_property(dim: usize, legacy: bool, dir: &Path) {
+    let kind = if legacy { "hdc1" } else { "hdb1" };
     let victim_path = dir.join(format!("victim-{dim}-{kind}.hdc"));
     let control_path = dir.join(format!("control-{dim}-{kind}.hdc"));
-    let model = seeded_model(dim, binary);
+    let model = seeded_model_file(dim, legacy);
     for path in [&victim_path, &control_path] {
-        model.save(BufWriter::new(fs::File::create(path).unwrap())).unwrap();
+        fs::write(path, &model).unwrap();
     }
 
     // Victim lineage: train, snapshot (compacts the WAL at that

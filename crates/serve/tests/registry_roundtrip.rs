@@ -28,7 +28,7 @@ fn trained_model() -> HdcClassifier<PixelEncoder> {
     })
     .unwrap();
     let mut model = HdcClassifier::new(encoder, 3);
-    // Three separable patterns, several examples each so accumulators are
+    // Three separable patterns, several examples each so counters are
     // non-trivial.
     for k in 0..4u8 {
         let mut top = [0u8; PIXELS];
@@ -63,15 +63,18 @@ fn query_batch() -> Vec<Vec<u8>> {
     queries
 }
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hdc-serve-roundtrip-{}", std::process::id()));
+/// A scratch directory of the test's own (pid plus test name): the tests
+/// run in parallel and each removes its directory at the end.
+fn temp_dir(test: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("hdc-serve-roundtrip-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn registry_reload_is_bit_identical_on_a_query_batch() {
-    let dir = temp_dir();
+    let dir = temp_dir("reload");
     let path = dir.join("model.hdc");
     let model = trained_model();
     save_pixel_classifier(&model, BufWriter::new(File::create(&path).unwrap())).unwrap();
@@ -110,7 +113,7 @@ fn registry_reload_is_bit_identical_on_a_query_batch() {
 
 #[test]
 fn truncated_and_corrupted_files_fail_cleanly() {
-    let dir = temp_dir();
+    let dir = temp_dir("corrupt");
     let good_path = dir.join("good.hdc");
     let model = trained_model();
     save_pixel_classifier(&model, BufWriter::new(File::create(&good_path).unwrap())).unwrap();
@@ -120,7 +123,7 @@ fn truncated_and_corrupted_files_fail_cleanly() {
     registry.load("m", &good_path).unwrap();
     let generation_before = registry.get("m").unwrap().info().generation;
 
-    // Truncation at several depths: mid-header, mid-accumulator, off-by-one.
+    // Truncation at several depths: mid-header, mid-counter, off-by-one.
     for keep in [2usize, 10, bytes.len() / 3, bytes.len() - 1] {
         let path = dir.join(format!("trunc-{keep}.hdc"));
         std::fs::write(&path, &bytes[..keep]).unwrap();

@@ -6,7 +6,7 @@
 //! cargo run --release --example digit_classification
 //! ```
 
-use hdc::io::{load_pixel_classifier, save_pixel_classifier};
+use hdc::io::{load_any, save_pixel_classifier};
 use hdc::prelude::*;
 use hdc_data::pgm;
 use hdc_data::synth::{SynthConfig, SynthGenerator};
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Persistence: save, reload, verify bit-identical behaviour.
     let path = std::env::temp_dir().join("hdtest_digit_model.hdc");
     save_pixel_classifier(&model, std::fs::File::create(&path)?)?;
-    let reloaded = load_pixel_classifier(std::fs::File::open(&path)?)?;
+    let reloaded = load_any(std::fs::File::open(&path)?)?;
     let same = test.pairs().all(|(pixels, _)| {
         model.predict(pixels).map(|p| p.class).ok()
             == reloaded.predict(pixels).map(|p| p.class).ok()

@@ -24,13 +24,12 @@ Three op classes:
   coalescing proof): the fast path replaced a slow one outright, so
   `speedup <= MIN_SPEEDUP` means it has effectively fallen back — fail.
 * delta ops (pack_words: both sides word-level; serve_predict /
-  serve_predict_binary / serve_train: coalescing on a 1-CPU runner can
+  serve_train: coalescing on a 1-CPU runner can
   only reach parity with batch-size-1 because the compute is serialized
   either way): only guard against a real regression (MIN_DELTA).
-* floor-override ops (train_partial_fit and train_partial_fit_binary:
-  one online partial_fit must be >=50x cheaper than the full retrain it
-  replaces at 10k x 10 classes, for BOTH classifier kinds — the
-  online-learning acceptance bar; measured ~200x dense).
+* floor-override ops (train_partial_fit: one online partial_fit must be
+  >=50x cheaper than the full retrain it replaces at 10k x 10 classes —
+  the online-learning acceptance bar; measured ~200x).
 * scaling-curve ops (serve_scale_wN, written by serve-loadgen's predict-
   pool sweep): "speedup" is explicit-batch throughput at N predict
   executors over 1 executor. Gated as a curve, not per-row: the 1-worker
@@ -63,7 +62,7 @@ import sys
 MIN_SPEEDUP = 1.5
 MIN_DELTA = 0.7
 
-DELTA_OPS = {"pack_words", "serve_predict", "serve_predict_binary", "serve_train"}
+DELTA_OPS = {"pack_words", "serve_predict", "serve_train"}
 
 # Ops whose acceptance bar differs from the generic MIN_SPEEDUP.
 # serve_soak's "speedup" is p99-ceiling headroom: > 1.0 means the soak's
@@ -82,7 +81,6 @@ DELTA_OPS = {"pack_words", "serve_predict", "serve_predict_binary", "serve_train
 # below 0.9.)
 FLOOR_OVERRIDES = {
     "train_partial_fit": 50.0,
-    "train_partial_fit_binary": 50.0,
     "serve_soak": 1.0,
     "serve_wal_append": 1.0,
     "serve_trace_overhead": 0.9,
@@ -121,13 +119,11 @@ REQUIRED_OPS = {
         "encode_timeseries",
         "encode_permute_pixel",
         "train_partial_fit",
-        "train_partial_fit_binary",
         "hamming@portable",
         "am_scan@portable",
     },
     "serve": {
         "serve_predict",
-        "serve_predict_binary",
         "serve_train",
         "serve_wal_append",
         "serve_trace_overhead",

@@ -1,8 +1,7 @@
-//! Integration tests for the extension systems: the binarized classifier,
+//! Integration tests for the extension systems: legacy model files,
 //! hardware fault injection, cross-model differential fuzzing, and fuzzing
 //! of non-image HDC models (the paper's §V-E generality claim).
 
-use hdc::binary::BinaryClassifier;
 use hdc::fault::{bit_error_sweep, FaultyAssociativeMemory};
 use hdc::prelude::*;
 use hdc_data::synth::{SynthConfig, SynthGenerator};
@@ -28,68 +27,95 @@ fn digit_testbed(dim: usize) -> (HdcClassifier<PixelEncoder>, hdc_data::Dataset)
     (model, test)
 }
 
-#[test]
-fn binary_classifier_tracks_dense_model_on_digits() {
-    let (dense, test) = digit_testbed(4_000);
-    let encoder = PixelEncoder::new(PixelEncoderConfig {
-        dim: 4_000,
-        width: 28,
-        height: 28,
-        levels: 256,
-        value_encoding: ValueEncoding::Random,
-        seed: 15,
-    })
-    .expect("valid config");
+/// Writes a legacy `HDC1` model file (the sum-based format the library
+/// still reads): magic, encoder config, class count, then per class the
+/// bundle count and the `i32` sums.
+fn legacy_hdc1(config: &PixelEncoderConfig, classes: &[Accumulator]) -> Vec<u8> {
+    let encoding = match config.value_encoding {
+        ValueEncoding::Random => 0u64,
+        ValueEncoding::Level => 1,
+    };
+    let mut bytes = b"HDC1".to_vec();
+    let header = [config.dim, config.width, config.height, config.levels].map(|v| v as u64);
+    for v in header.into_iter().chain([encoding, config.seed, classes.len() as u64]) {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    for acc in classes {
+        bytes.extend_from_slice(&(acc.count() as u64).to_le_bytes());
+        for s in acc.sums() {
+            bytes.extend_from_slice(&s.to_le_bytes());
+        }
+    }
+    bytes
+}
+
+/// A live digit model after training and a round of mislabeled feedback,
+/// plus the same history written as a legacy `HDC1` file from the scalar
+/// accumulator oracle.
+fn live_and_legacy(dim: usize) -> (HdcClassifier<PixelEncoder>, Vec<u8>, hdc_data::Dataset) {
+    let (mut live, test) = digit_testbed(dim);
     let mut generator = SynthGenerator::new(SynthConfig { seed: 50, ..Default::default() });
     let train = generator.dataset(40);
-    let mut binary = BinaryClassifier::new(encoder, 10);
-    binary.train_batch(train.pairs()).expect("training succeeds");
-
-    // Majority bundling ≡ bipolarized-sum bundling, Hamming ≡ affine
-    // cosine: the two implementations agree everywhere by construction.
-    let agreement = test
-        .pairs()
-        .filter(|(img, _)| {
-            dense.predict(img).expect("predicts").class
-                == binary.predict(img).expect("predicts").class
-        })
-        .count();
-    assert_eq!(agreement, test.len(), "same-config dense and binary models must agree");
+    let mut oracle: Vec<Accumulator> = (0..10).map(|_| Accumulator::zeros(dim)).collect();
+    for (img, label) in train.pairs() {
+        oracle[label].add(&live.encode(img).expect("encodes")).expect("same dim");
+    }
+    for (img, label) in train.pairs().take(30) {
+        let lie = (label + 1) % 10;
+        let feedback = live.feedback(img, lie).expect("feedback");
+        if feedback.updated {
+            let query = live.encode(img).expect("encodes");
+            oracle[lie].add(&query).expect("same dim");
+            oracle[feedback.prediction.class].subtract(&query).expect("same dim");
+        }
+    }
+    let legacy = legacy_hdc1(live.encoder().config(), &oracle);
+    (live, legacy, test)
 }
 
 #[test]
-fn binary_classifier_is_fuzzable_through_target_model() {
-    let encoder = PixelEncoder::new(PixelEncoderConfig {
-        dim: 2_000,
-        width: 28,
-        height: 28,
-        levels: 256,
-        value_encoding: ValueEncoding::Random,
-        seed: 15,
-    })
-    .expect("valid config");
-    let mut generator = SynthGenerator::new(SynthConfig { seed: 50, ..Default::default() });
-    let train = generator.dataset(40);
-    let pool = generator.dataset(2);
-    let mut binary = BinaryClassifier::new(encoder, 10);
-    binary.train_batch(train.pairs()).expect("training succeeds");
+fn legacy_hdc1_model_tracks_live_model_on_digits() {
+    // Sums convert to counters with the same implied sums, so a model
+    // loaded from the legacy format is the live model: same prediction,
+    // similarities included, on every test digit.
+    let (live, legacy, test) = live_and_legacy(4_000);
+    let loaded = hdc::io::load_any(&legacy[..]).expect("legacy model loads");
+    for (img, _) in test.pairs() {
+        assert_eq!(
+            loaded.predict(img).expect("predicts"),
+            live.predict(img).expect("predicts"),
+            "a legacy-loaded model must agree with the live model"
+        );
+    }
+}
 
-    let fuzzer = Fuzzer::new(
-        &binary,
-        Box::new(GaussNoise::default()),
-        Box::new(L2Constraint::default()),
-        FuzzConfig::default(),
-    );
+#[test]
+fn legacy_hdc1_model_is_fuzzable_through_target_model() {
+    let (live, legacy, _) = live_and_legacy(2_000);
+    let loaded = hdc::io::load_any(&legacy[..]).expect("legacy model loads");
+    let mut generator = SynthGenerator::new(SynthConfig { seed: 51, ..Default::default() });
+    let pool = generator.dataset(2);
+
+    let fuzzer = |model| {
+        Fuzzer::new(
+            model,
+            Box::new(GaussNoise::default()),
+            Box::new(L2Constraint::default()),
+            FuzzConfig::default(),
+        )
+    };
+    let (on_loaded, on_live) = (fuzzer(&loaded), fuzzer(&live));
     let mut successes = 0;
     for (index, image) in pool.images().iter().enumerate() {
-        let result = fuzzer.fuzz_one(image, index as u64).expect("valid input");
+        let result = on_loaded.fuzz_one(image, index as u64).expect("valid input");
+        assert_eq!(result, on_live.fuzz_one(image, index as u64).expect("valid input"));
         if result.outcome.is_adversarial() {
             successes += 1;
         }
     }
     assert!(
         successes > pool.len() / 2,
-        "the binarized model must be fuzzable too: {successes}/{}",
+        "the legacy-loaded model must be fuzzable too: {successes}/{}",
         pool.len()
     );
 }

@@ -169,7 +169,7 @@ proptest! {
         model.finalize();
         let mut buf = Vec::new();
         hdc::io::save_pixel_classifier(&model, &mut buf).unwrap();
-        let loaded = hdc::io::load_pixel_classifier(&buf[..]).unwrap();
+        let loaded = hdc::io::load_any(&buf[..]).unwrap();
         for img in [[0u8; 16], [40u8; 16], [200u8; 16]] {
             prop_assert_eq!(
                 model.predict(&img[..]).unwrap().class,
